@@ -8,10 +8,7 @@
 //! engine's zero-allocation contract: steady-state evaluations of a
 //! fixed expression shape must not grow the slab-allocation counter
 //! (`gel_lang::eval_slab_allocs`) at all — the plan, every
-//! intermediate slab and the output table are reused. Unlike the WL
-//! gate's `wl.scratch.allocs`, this counter is always-on (not gated
-//! behind the `obs` feature), so the gate binds in the uninstrumented
-//! `--no-default-features` CI leg too.
+//! intermediate slab and the output table are reused.
 
 use std::time::Instant;
 

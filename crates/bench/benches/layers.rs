@@ -15,8 +15,8 @@ use std::time::Instant;
 use gel_gnn::{train_graph_model, train_graph_model_batched, Gnn101Conv, GnnAgg, GraphModel};
 use gel_graph::{families, BatchedGraphs, Graph};
 use gel_tensor::{
-    buffer_allocs, Activation, Adam, Dense, Init, Loss, Matrix, Mlp, Optimizer, Parameterized,
-    Scratch, Sgd,
+    Activation, Adam, Dense, Init, Loss, Matrix, Mlp, Optimizer, Parameterized, Scratch, Sgd,
+    BUFFER_ALLOCS,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -145,7 +145,7 @@ fn dense_steady_state_allocs(warm: u32, steps: u32) -> u64 {
     let mut base = 0u64;
     for step in 0..warm + steps {
         if step == warm {
-            base = buffer_allocs();
+            base = BUFFER_ALLOCS.get();
         }
         layer.zero_grads();
         layer.forward_into(&x, &mut out);
@@ -154,7 +154,7 @@ fn dense_steady_state_allocs(warm: u32, steps: u32) -> u64 {
         layer.backward_into(&grad, &mut scratch, &mut grad_in);
         opt.step(&mut layer);
     }
-    buffer_allocs() - base
+    BUFFER_ALLOCS.get() - base
 }
 
 /// Steady-state allocation counter across a `Gnn101Conv` training
@@ -171,7 +171,7 @@ fn gnn101_steady_state_allocs(warm: u32, steps: u32) -> u64 {
     let mut base = 0u64;
     for step in 0..warm + steps {
         if step == warm {
-            base = buffer_allocs();
+            base = BUFFER_ALLOCS.get();
         }
         conv.zero_grads();
         conv.forward_into(&g, &x, &mut scratch, &mut out);
@@ -180,7 +180,7 @@ fn gnn101_steady_state_allocs(warm: u32, steps: u32) -> u64 {
         conv.backward_into(&g, &grad, &mut scratch, &mut grad_in);
         opt.step(&mut conv);
     }
-    buffer_allocs() - base
+    BUFFER_ALLOCS.get() - base
 }
 
 fn main() {

@@ -8,8 +8,7 @@
 //!
 //! * a warm plan cache serves every request without re-lowering —
 //!   the [`gel_lang::eval_plan_builds`] delta over the warm phase is
-//!   exactly 0 (always-on counter, so the gate binds on the
-//!   uninstrumented `--no-default-features` leg too);
+//!   exactly 0;
 //! * the cold phase lowers exactly one plan per distinct expression;
 //! * every request completes (admission capacity covers the fleet).
 

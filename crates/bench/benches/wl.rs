@@ -10,17 +10,15 @@
 //! scratch — first-use sizing (`wl.scratch.init_allocs`) *and* in-use
 //! regrowth (`wl.scratch.allocs`) — by exactly as much as a 2-round
 //! warm-up of the same instance. I.e. every round after the sizing
-//! phase neither creates a buffer nor grows one. With the `obs`
-//! feature off the counters read zero on both sides and the gate
-//! passes trivially (the instrumented leg is the binding one).
+//! phase neither creates a buffer nor grows one. The first refinement
+//! must also move `wl.scratch.init_allocs` above zero, so a counter
+//! that silently reads zero fails the gate instead of passing it.
 
 use std::time::Instant;
 
 use gel_graph::cfi::cfi_pair_k4;
 use gel_graph::families::{path, srg_16_6_2_2_pair};
-use gel_wl::{
-    color_refinement, k_wl, wl_scratch_allocs, wl_scratch_init_allocs, CrOptions, WlVariant,
-};
+use gel_wl::{color_refinement, k_wl, CrOptions, WlVariant, SCRATCH_ALLOCS, SCRATCH_INIT_ALLOCS};
 
 fn secs_per_iter(iters: u32, mut f: impl FnMut()) -> f64 {
     // One untimed warm-up call so first-run costs stay out of the mean.
@@ -38,9 +36,9 @@ fn report(name: &str, secs: f64, rounds: usize) {
 
 /// Tracked-scratch growth across `f`: `(first-use sizing, regrowth)`.
 fn scratch_delta(f: impl FnOnce()) -> (u64, u64) {
-    let (init, grow) = (wl_scratch_init_allocs(), wl_scratch_allocs());
+    let (init, grow) = (SCRATCH_INIT_ALLOCS.get(), SCRATCH_ALLOCS.get());
     f();
-    (wl_scratch_init_allocs() - init, wl_scratch_allocs() - grow)
+    (SCRATCH_INIT_ALLOCS.get() - init, SCRATCH_ALLOCS.get() - grow)
 }
 
 fn main() {
@@ -124,6 +122,7 @@ fn main() {
         // Per-counter equality is strictly tighter than the old
         // combined-total check: no buffer is first-allocated *and* no
         // buffer regrows after the 2-round warm-up.
+        assert!(cr_gate.0 .0 > 0, "CR warm-up sized no scratch: the init counter reads zero");
         assert_eq!(cr_gate.0 .0, cr_gate.1 .0, "CR rounds created buffers after warm-up");
         assert_eq!(cr_gate.0 .1, cr_gate.1 .1, "CR rounds regrew scratch after warm-up");
         assert_eq!(warm.0, full.0, "2-FWL rounds created buffers after warm-up");

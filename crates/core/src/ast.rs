@@ -18,13 +18,11 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::func::{Agg, Func};
 use crate::table::Var;
 
 /// Comparison operator of equality atoms (slide 59).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
     /// `1[x_i = x_j]`.
     Eq,
@@ -33,7 +31,7 @@ pub enum CmpOp {
 }
 
 /// A `GEL(Ω,Θ)` expression.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// `Lab_j(x_i)`: the `j`-th component (0-based) of the label of the
     /// vertex bound to `x_i`. Dimension 1.
@@ -702,8 +700,7 @@ mod tests {
 
     #[test]
     fn display_parse_roundtrip() {
-        // Textual round-trip through the native syntax (the serde
-        // derives are no-ops in offline builds; see vendor/serde).
+        // Textual round-trip through the native syntax.
         let e = nbr_agg(Agg::Max, 1, 2, mul2(lab(0, 1), lab(0, 2)));
         let back = crate::parser::parse(&e.to_string()).unwrap();
         assert_eq!(e, back);

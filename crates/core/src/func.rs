@@ -9,11 +9,10 @@
 //! style arguments, an injective hash for exact WL simulation).
 
 use gel_tensor::{Activation, Matrix};
-use serde::{Deserialize, Serialize};
 
 /// A function `F : ℝ^{d_in} → ℝ^{d_out}` from Ω, applied to the
 /// concatenation of its argument expressions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Func {
     /// `x ↦ x · W + b` with `W : d_in × d_out` (row-vector convention).
     Linear {
@@ -158,7 +157,7 @@ impl Func {
 /// The empty bag maps to the zero vector for every aggregator (the
 /// conventional choice in the GNN literature; documented behaviour for
 /// isolated vertices).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Agg {
     /// Summation — the aggregator that attains WL power (slide 52).
     Sum,

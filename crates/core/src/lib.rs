@@ -72,8 +72,8 @@ pub use eval::{check_against_graph, eval, eval_with, try_eval, EvalError, EvalOp
 pub use func::{Agg, Func};
 pub use parser::{parse, ParseError};
 pub use plan::{
-    eval_dense_fallbacks, eval_plan_builds, eval_slab_allocs, eval_sparse_nnz, eval_wco_joins,
-    eval_wco_seeks, expr_dag_hash, EvalEngine, PlanTooDense,
+    eval_dense_fallbacks, eval_plan_builds, eval_slab_allocs, eval_sparse_nnz, eval_wco_seeks,
+    expr_dag_hash, EvalEngine, PlanTooDense,
 };
 pub use simplify::simplify;
 pub use table::{EmbeddingTable, Var};

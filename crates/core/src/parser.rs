@@ -21,7 +21,7 @@
 //!
 //! `linear` functions carry weight matrices and are built
 //! programmatically (see [`crate::ast::build`] and
-//! [`crate::architectures`]); they round-trip through serde instead.
+//! [`crate::architectures`]); they have no textual form.
 
 use std::fmt;
 

@@ -30,9 +30,8 @@
 //! * **Scratch reuse.** Slabs come from a best-fit pool owned by the
 //!   engine; re-evaluating the same expression shape (E9 probes each
 //!   random expression on both graphs of a pair) hits the cached plan
-//!   and touches no allocator at all. Pool misses are tracked by the
-//!   always-on [`eval_slab_allocs`] counter and mirrored to the
-//!   `eval.slab.allocs` obs counter.
+//!   and touches no allocator at all. Pool misses are counted by the
+//!   `eval.slab.allocs` gel-obs counter ([`eval_slab_allocs`]).
 //!
 //! Outer-assignment loops of `Apply`/`Aggregate` parallelize over
 //! contiguous output-cell ranges (`rayon::par_parts_mut`) once a node
@@ -41,7 +40,6 @@
 //! the same discipline as the matmul and WL-renaming kernels.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use gel_graph::{Graph, Vertex};
 use gel_tensor::kernels::{gather_sum_into, gather_sum_scalar};
@@ -54,24 +52,22 @@ use crate::sparse::{
 };
 use crate::table::{EmbeddingTable, Var};
 
-/// Tracked slab-pool misses since process start. Steady-state
-/// evaluations of a cached plan perform none: the CI smoke gate
-/// (`gel-bench --bench eval -- --smoke`) asserts the counter stays
-/// flat across repeated calls. Always on (independent of the `obs`
-/// feature) and monotone.
+/// Slab-pool misses (the `eval.slab.allocs` counter) since the last
+/// [`gel_obs::reset`]. Steady-state evaluations of a cached plan
+/// perform none: the CI smoke gate (`gel-bench --bench eval --
+/// --smoke`) asserts the counter stays flat across repeated calls.
 pub fn eval_slab_allocs() -> u64 {
-    SLAB_ALLOCS.load(Ordering::Relaxed)
+    SLAB_ALLOCS.get()
 }
 
-/// Tracked plan lowerings since process start: the number of times any
-/// [`EvalEngine`] actually lowered an expression into a fresh plan (a
-/// cached-plan hit does not count). Always on and monotone, like
-/// [`eval_slab_allocs`]; mirrored to the `eval.plan.builds` obs
-/// counter. The `gel-serve` plan cache and its `--bench serve` smoke
+/// Plan lowerings (the `eval.plan.builds` counter) since the last
+/// [`gel_obs::reset`]: the number of times any [`EvalEngine`] actually
+/// lowered an expression into a fresh plan (a cached-plan hit does not
+/// count). The `gel-serve` plan cache and its `--bench serve` smoke
 /// gate use the delta of this counter to prove that warm-cache
 /// requests never re-lower.
 pub fn eval_plan_builds() -> u64 {
-    PLAN_BUILDS.load(Ordering::Relaxed)
+    PLAN_BUILDS.get()
 }
 
 /// The hash key under which an expression's plan is cached: the
@@ -86,58 +82,40 @@ pub fn expr_dag_hash(expr: &Expr) -> u64 {
     dag_hash(expr, &mut memo)
 }
 
-static SLAB_ALLOCS: AtomicU64 = AtomicU64::new(0);
-static PLAN_BUILDS: AtomicU64 = AtomicU64::new(0);
-static OBS_SLAB_ALLOCS: gel_obs::Counter = gel_obs::Counter::new("eval.slab.allocs");
-static OBS_CALLS: gel_obs::Counter = gel_obs::Counter::new("eval.calls");
-static OBS_PLAN_BUILDS: gel_obs::Counter = gel_obs::Counter::new("eval.plan.builds");
-static OBS_PLAN_NODES: gel_obs::Counter = gel_obs::Counter::new("eval.plan.nodes");
+static SLAB_ALLOCS: gel_obs::Counter = gel_obs::Counter::new("eval.slab.allocs");
+static CALLS: gel_obs::Counter = gel_obs::Counter::new("eval.calls");
+static PLAN_BUILDS: gel_obs::Counter = gel_obs::Counter::new("eval.plan.builds");
+static PLAN_NODES: gel_obs::Counter = gel_obs::Counter::new("eval.plan.nodes");
 
-/// Total entries emitted by sparse node representations (coordinate
-/// lists) since process start. Always on and monotone, like
-/// [`eval_slab_allocs`]; mirrored to the `eval.sparse.nnz` obs counter.
+/// Entries emitted by sparse node representations (coordinate lists;
+/// the `eval.sparse.nnz` counter) since the last [`gel_obs::reset`].
 pub fn eval_sparse_nnz() -> u64 {
-    SPARSE_NNZ.load(Ordering::Relaxed)
+    SPARSE_NNZ.get()
 }
 
 /// Times a sparse node had to scatter its entries into a dense slab
-/// because some consumer (or the root) reads the dense layout. A
-/// steadily climbing count signals a plan whose representation choices
-/// fight each other; mirrored to `eval.sparse.fallbacks`.
+/// because some consumer (or the root) reads the dense layout (the
+/// `eval.sparse.fallbacks` counter), since the last
+/// [`gel_obs::reset`]. A steadily climbing count signals a plan whose
+/// representation choices fight each other.
 pub fn eval_dense_fallbacks() -> u64 {
-    DENSE_FALLBACKS.load(Ordering::Relaxed)
+    DENSE_FALLBACKS.get()
 }
 
-static SPARSE_NNZ: AtomicU64 = AtomicU64::new(0);
-static DENSE_FALLBACKS: AtomicU64 = AtomicU64::new(0);
-static OBS_SPARSE_NNZ: gel_obs::Counter = gel_obs::Counter::new("eval.sparse.nnz");
-static OBS_SPARSE_FALLBACKS: gel_obs::Counter = gel_obs::Counter::new("eval.sparse.fallbacks");
-
-/// Worst-case-optimal multiway joins executed ([`Kind::JoinWco`]
-/// kernel invocations) since process start. Always on and monotone;
-/// mirrored to the `eval.wco.joins` obs counter. The bench crossover
-/// sweep uses the delta to prove the cyclic probes actually took the
-/// wco path.
-pub fn eval_wco_joins() -> u64 {
-    WCO_JOINS.load(Ordering::Relaxed)
-}
+static SPARSE_NNZ: gel_obs::Counter = gel_obs::Counter::new("eval.sparse.nnz");
+static DENSE_FALLBACKS: gel_obs::Counter = gel_obs::Counter::new("eval.sparse.fallbacks");
 
 /// Leapfrog seeks performed across all wco joins (the kernel's
-/// intersection work — the quantity the AGM bound caps). Mirrored to
-/// `eval.wco.seeks`.
+/// intersection work — the quantity the AGM bound caps; the
+/// `eval.wco.seeks` counter) since the last [`gel_obs::reset`].
 pub fn eval_wco_seeks() -> u64 {
-    WCO_SEEKS.load(Ordering::Relaxed)
+    WCO_SEEKS.get()
 }
 
-static WCO_JOINS: AtomicU64 = AtomicU64::new(0);
-static WCO_SEEKS: AtomicU64 = AtomicU64::new(0);
-static OBS_WCO_JOINS: gel_obs::Counter = gel_obs::Counter::new("eval.wco.joins");
-static OBS_WCO_SEEKS: gel_obs::Counter = gel_obs::Counter::new("eval.wco.seeks");
-
-fn note_sparse(nnz: usize) {
-    SPARSE_NNZ.fetch_add(nnz as u64, Ordering::Relaxed);
-    OBS_SPARSE_NNZ.add(nnz as u64);
-}
+/// Worst-case-optimal multiway joins executed ([`Kind::JoinWco`]
+/// kernel invocations).
+static WCO_JOINS: gel_obs::Counter = gel_obs::Counter::new("eval.wco.joins");
+static WCO_SEEKS: gel_obs::Counter = gel_obs::Counter::new("eval.wco.seeks");
 
 /// Scatters a sparse node's entries into its dense slab — the
 /// representation fallback when a dense consumer needs the table.
@@ -149,14 +127,12 @@ fn densify(sp: &CoordList, out: &mut [f64]) {
     for (i, &c) in sp.coords().iter().enumerate() {
         out[c * d..(c + 1) * d].copy_from_slice(sp.value(i));
     }
-    DENSE_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-    OBS_SPARSE_FALLBACKS.incr();
+    DENSE_FALLBACKS.incr();
 }
 
 fn note_slab_alloc(len: usize) {
     if len > 0 {
-        SLAB_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        OBS_SLAB_ALLOCS.incr();
+        SLAB_ALLOCS.incr();
     }
 }
 
@@ -571,7 +547,7 @@ impl EvalEngine {
     /// like [`crate::eval::eval`] — run
     /// [`crate::eval::check_against_graph`] first for untrusted input.
     pub fn eval(&mut self, expr: &Expr, g: &Graph) -> &EmbeddingTable {
-        OBS_CALLS.incr();
+        CALLS.incr();
         self.ensure_plan(expr, g);
         self.run_plan(g)
     }
@@ -588,7 +564,7 @@ impl EvalEngine {
         g: &Graph,
         cap: usize,
     ) -> Result<&EmbeddingTable, PlanTooDense> {
-        OBS_CALLS.incr();
+        CALLS.incr();
         self.ensure_plan_capped(expr, g, Some(cap))?;
         Ok(self.run_plan(g))
     }
@@ -786,9 +762,8 @@ impl EvalEngine {
         self.scratch.inner_digits.resize(max_q, 0);
         self.scratch.offsets.resize(max_args, 0);
         self.cache_key = Some(key);
-        PLAN_BUILDS.fetch_add(1, Ordering::Relaxed);
-        OBS_PLAN_BUILDS.incr();
-        OBS_PLAN_NODES.add(self.nodes.len() as u64);
+        PLAN_BUILDS.incr();
+        PLAN_NODES.add(self.nodes.len() as u64);
         Ok(())
     }
 
@@ -1607,7 +1582,7 @@ fn exec_node(
                 // the variable order swaps the digits.
                 sp.sort_entries(&mut scratch.join);
             }
-            note_sparse(sp.len());
+            SPARSE_NNZ.add(sp.len() as u64);
             if node.needs_dense {
                 densify(sp, out);
             }
@@ -1625,7 +1600,7 @@ fn exec_node(
             for v in 0..n {
                 sp.push1(v * n + v, 1.0);
             }
-            note_sparse(sp.len());
+            SPARSE_NNZ.add(sp.len() as u64);
             if node.needs_dense {
                 densify(sp, out);
             }
@@ -1791,7 +1766,7 @@ fn exec_node(
                 &mut scratch.inner_digits[..dl],
                 &mut scratch.join,
             );
-            note_sparse(sp.len());
+            SPARSE_NNZ.add(sp.len() as u64);
             if node.needs_dense {
                 densify(sp, out);
             }
@@ -1845,7 +1820,7 @@ fn exec_node(
         Kind::JoinWco { factors, factor_vars, order, n_free, free_over } => {
             let _ss = gel_obs::span("sparse.exec");
             run_join_wco(nodes, factors, factor_vars, order, *n_free, *free_over, sp, n, scratch);
-            note_sparse(sp.len());
+            SPARSE_NNZ.add(sp.len() as u64);
             if node.needs_dense {
                 densify(sp, out);
             }
@@ -2333,10 +2308,8 @@ fn run_join_wco(
             *v *= mult;
         }
     }
-    WCO_JOINS.fetch_add(1, Ordering::Relaxed);
-    WCO_SEEKS.fetch_add(seeks, Ordering::Relaxed);
-    OBS_WCO_JOINS.incr();
-    OBS_WCO_SEEKS.add(seeks);
+    WCO_JOINS.incr();
+    WCO_SEEKS.add(seeks);
 }
 
 #[cfg(test)]
@@ -2672,10 +2645,10 @@ mod tests {
         let c4 =
             cyclic_probe(vec![edge(1, 2), edge(2, 3), edge(3, 4), edge(1, 4)], vec![1, 2, 3, 4]);
         let want = oracle_eval(&c4, &g);
-        let before = eval_wco_joins();
+        let before = WCO_JOINS.get();
         let mut eng = EvalEngine::with_options(forced_sparse(true));
         assert_eq!(eng.eval(&c4, &g), &want);
-        assert!(eval_wco_joins() > before, "cyclic probe did not take the wco path");
+        assert!(WCO_JOINS.get() > before, "cyclic probe did not take the wco path");
         // 4 edge atoms + 1 JoinWco node — same shape as the AggElim plan.
         assert_eq!(eng.plan_nodes(), 5);
         let mut binary =
@@ -2684,10 +2657,10 @@ mod tests {
         assert_eq!(binary.plan_nodes(), 5);
         // Acyclic shapes stay on the elimination path.
         let path3 = cyclic_probe(vec![edge(1, 2), edge(2, 3)], vec![2, 3]);
-        let before = eval_wco_joins();
+        let before = WCO_JOINS.get();
         let mut eng = EvalEngine::with_options(forced_sparse(true));
         let seen = eng.eval(&path3, &g).data().to_vec();
-        assert_eq!(eval_wco_joins(), before, "acyclic probe must stay on AggElim");
+        assert_eq!(WCO_JOINS.get(), before, "acyclic probe must stay on AggElim");
         assert_eq!(seen, oracle_eval(&path3, &g).data());
     }
 

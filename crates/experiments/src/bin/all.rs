@@ -38,8 +38,8 @@
 //!   counters, so they always agree. Tables printed to stdout are
 //!   identical with and without the flag, and identical at every thread
 //!   count. With the crate's `obs` feature off (build with
-//!   `--no-default-features`) all metric values are zero but the schema
-//!   is unchanged.
+//!   `--no-default-features`) only the span-time metrics read zero;
+//!   counters and the schema are unchanged.
 
 use std::time::Instant;
 
@@ -49,7 +49,7 @@ use gel_experiments::report::json_escape;
 /// experiment's gel-obs delta. The key set is part of the schema
 /// (checked by the `schema_check` bin), so it never depends on which
 /// metrics happened to fire — absent metrics read as zero. With the
-/// `obs` feature off every value except `serial_wall_s` is zero.
+/// `obs` feature off the span seconds read zero.
 fn metrics_json(serial_wall_s: f64, m: &gel_obs::Snapshot) -> String {
     let hits = m.counter("wl.cache.hits");
     let misses = m.counter("wl.cache.misses");
@@ -112,7 +112,7 @@ fn hot_path_bench() -> (f64, f64, f64) {
     let mut base = 0u64;
     for step in 0..warm + steps {
         if step == warm {
-            base = gel_tensor::buffer_allocs();
+            base = gel_tensor::BUFFER_ALLOCS.get();
         }
         m.zero_grads();
         m.forward_batched_into(&batch, &mut pred);
@@ -120,7 +120,7 @@ fn hot_path_bench() -> (f64, f64, f64) {
         m.backward_batched(&batch, &grad);
         opt.step(&mut m);
     }
-    let allocs_per_step = (gel_tensor::buffer_allocs() - base) as f64 / f64::from(steps);
+    let allocs_per_step = (gel_tensor::BUFFER_ALLOCS.get() - base) as f64 / f64::from(steps);
 
     // Batched vs per-graph wall clock on the same workload. Each side
     // is timed as the minimum over several rounds (fresh model and
@@ -309,8 +309,8 @@ fn kernels_json() -> String {
 /// ratio hovers near 1×; the hub instance is the structural case the
 /// kernel exists for (binary elimination materializes the mids×leaves
 /// wedge table no matter how few cycles close), recorded separately as
-/// `hub_speedup`. Also records the kernel's always-on join/seek
-/// counters over the sweep. Runs pinned to one thread (the caller
+/// `hub_speedup`. Also records the kernel's join/seek counters over
+/// the sweep. Runs pinned to one thread (the caller
 /// pins): the sparse kernels are serial by design.
 fn wco_json() -> String {
     use gel_graph::random::erdos_renyi;
@@ -380,8 +380,7 @@ fn wco_json() -> String {
         (wco_s, binary_s)
     };
 
-    let joins0 = gel_lang::eval_wco_joins();
-    let seeks0 = gel_lang::eval_wco_seeks();
+    let before = gel_obs::snapshot();
     let mut rows = String::new();
     for (pname, probe) in [("cycle4", &cycle4), ("clique4", &clique4)] {
         for n in [32usize, 64] {
@@ -402,8 +401,9 @@ fn wco_json() -> String {
          \"binary_s\": {hub_binary_s:.9}, \"wco_s\": {hub_wco_s:.9}, \
          \"speedup\": {hub_speedup:.3}}}\n",
     ));
-    let joins = gel_lang::eval_wco_joins() - joins0;
-    let seeks = gel_lang::eval_wco_seeks() - seeks0;
+    let sweep = gel_obs::snapshot().since(&before);
+    let joins = sweep.counter("eval.wco.joins");
+    let seeks = sweep.counter("eval.wco.seeks");
     format!(
         "{{\"threads\": 1,\n    \"rows\": [\n{rows}    ],\n    \
          \"hub_speedup\": {hub_speedup:.3}, \"wco_joins\": {joins}, \"wco_seeks\": {seeks}}}"
@@ -416,8 +416,8 @@ fn wco_json() -> String {
 /// one server, cold, warm, then the same warm workload shipped as
 /// `EvalBatch` frames. Reports latency quantiles, throughput, and
 /// plan-cache behaviour; asserts neither the warm nor the batched
-/// phase re-lowers anything (the same always-on gates as the bench's
-/// `--smoke` mode).
+/// phase re-lowers anything (the same gates as the bench's `--smoke`
+/// mode).
 fn serve_json() -> String {
     use gel_graph::random::{erdos_renyi, with_random_real_labels};
     use gel_lang::wl_sim::{cr_graph_expr, k_wl_graph_expr};

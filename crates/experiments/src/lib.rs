@@ -120,7 +120,7 @@ pub fn run_all_timed(full: bool) -> Vec<(ExperimentResult, f64)> {
 /// bleed into each other's deltas. Observability state (including the
 /// WL colouring cache and its counters) is reset before each
 /// experiment, so deltas are scoped even though the counters are
-/// process-global; with the `obs` feature off every snapshot is empty.
+/// process-global; with the `obs` feature off the span stats are empty.
 pub fn run_all_instrumented(full: bool) -> Vec<(ExperimentResult, f64, gel_obs::Snapshot)> {
     let corpus = if full { full_corpus() } else { light_corpus() };
     let instrumented = jobs(&corpus)

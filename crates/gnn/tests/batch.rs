@@ -101,7 +101,7 @@ fn batched_training_step_is_allocation_free_in_steady_state() {
     let mut base = 0u64;
     for step in 0..warm + steps {
         if step == warm {
-            base = gel_tensor::buffer_allocs();
+            base = gel_tensor::BUFFER_ALLOCS.get();
         }
         model.zero_grads();
         model.forward_batched_into(&batch, &mut pred);
@@ -110,7 +110,7 @@ fn batched_training_step_is_allocation_free_in_steady_state() {
         opt.step(&mut model);
     }
     assert_eq!(
-        gel_tensor::buffer_allocs() - base,
+        gel_tensor::BUFFER_ALLOCS.get() - base,
         0,
         "batched training step allocated in steady state"
     );

@@ -8,8 +8,6 @@
 //! aggregation and GNN layer in the workspace — is a contiguous slice
 //! scan.
 
-use serde::{Deserialize, Serialize};
-
 /// Vertex identifier; vertices of an `n`-vertex graph are `0..n`.
 pub type Vertex = u32;
 
@@ -19,7 +17,7 @@ pub type Vertex = u32;
 /// Construct via [`GraphBuilder`] or the generator functions in this
 /// crate. The struct is immutable after construction: every algorithm
 /// in the workspace treats graphs as values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
     n: usize,
     label_dim: usize,
@@ -605,8 +603,7 @@ mod tests {
 
     #[test]
     fn edge_list_roundtrip() {
-        // Textual round-trip through the native edge-list format (the
-        // serde derives are no-ops in offline builds; see vendor/serde).
+        // Textual round-trip through the native edge-list format.
         let g = path3();
         let s = crate::io::to_edge_list(&g);
         let g2 = crate::io::parse_edge_list(&s).unwrap();

@@ -7,12 +7,10 @@
 //! the vertex set and labels; `gel-wl`'s relational colour refinement
 //! consumes the per-relation views directly.
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::{Graph, GraphBuilder, Vertex};
 
 /// A graph with `r` edge relations over a common labelled vertex set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TypedGraph {
     relations: Vec<Graph>,
 }

@@ -1,4 +1,5 @@
-//! The real (feature `enabled`) implementation.
+//! The metrics registry: counters and gauges in every build, span
+//! timing with the `enabled` feature.
 //!
 //! Layout: a process-wide [`Registry`] (one mutex) holds per-counter
 //! totals, gauge cells and merged span stats; every thread owns a
@@ -35,8 +36,10 @@ fn registry() -> &'static Mutex<Registry> {
     REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
 }
 
-/// Per-thread pending state; merged into [`Registry`] on drop.
+/// Per-thread pending state; merged into [`Registry`] on drop. The
+/// span fields stay empty while span timing is compiled out.
 #[derive(Default)]
+#[cfg_attr(not(feature = "enabled"), allow(dead_code))]
 struct Shard {
     /// Pending counter increments, indexed by counter id.
     counts: Vec<u64>,
@@ -59,6 +62,7 @@ struct Shard {
 /// Whether two span paths are the same stack of name literals, by
 /// pointer identity. Distinct literals with equal text miss the cache
 /// and fall back to the by-content map lookup — slower, never wrong.
+#[cfg(feature = "enabled")]
 #[inline]
 fn same_path(a: &[&'static str], b: &[&'static str]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| std::ptr::eq(*x, *y))
@@ -237,6 +241,7 @@ impl Gauge {
 }
 
 /// RAII guard of an open span; completes the measurement on drop.
+#[cfg(feature = "enabled")]
 #[must_use = "a span measures the scope of its guard"]
 pub struct SpanGuard {
     /// Armed unless the shard was unavailable at open time.
@@ -246,6 +251,7 @@ pub struct SpanGuard {
 /// Opens a hierarchical span named `name` on the current thread. The
 /// returned guard records elapsed wall-clock time under the path of
 /// all spans currently open on this thread when it drops.
+#[cfg(feature = "enabled")]
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
     let armed = with_shard(|s| {
@@ -256,6 +262,7 @@ pub fn span(name: &'static str) -> SpanGuard {
     SpanGuard { armed }
 }
 
+#[cfg(feature = "enabled")]
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if !self.armed {

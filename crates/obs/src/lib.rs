@@ -7,12 +7,13 @@
 //!
 //! ## Design
 //!
-//! * **Compiled away unless enabled.** Without the `enabled` feature
-//!   every API is a no-op on zero-sized state: instrumented hot paths
-//!   (the tensor kernels, the scratch pool, the WL cache) keep their
-//!   zero-allocation guarantees bit for bit. Dependent crates forward
-//!   an `obs` feature to `gel-obs/enabled`, so one switch lights up the
-//!   whole workspace.
+//! * **Counters always on, spans opt-in.** Counters, gauges,
+//!   [`snapshot`], [`reset`] and [`flush_thread`] work in every build,
+//!   so every gate that counts work binds whatever the features. Only
+//!   span timing (a clock read per open and close) sits behind the
+//!   `enabled` feature; without it [`span`] returns a zero-sized guard.
+//!   Dependent crates forward an `obs` feature to `gel-obs/enabled`,
+//!   so one switch turns spans on across the workspace.
 //! * **Thread-local accumulation.** `Counter::add` bumps a plain
 //!   thread-local cell — no atomics, no locks on the hot path. Pending
 //!   values merge into the global registry when a thread exits (the
@@ -47,7 +48,6 @@
 //!     QUERIES.incr();
 //! }
 //! let delta = obs::snapshot().since(&before);
-//! # #[cfg(feature = "enabled")]
 //! assert_eq!(delta.counter("example.queries"), 1);
 //! ```
 
@@ -55,15 +55,15 @@
 
 use std::collections::BTreeMap;
 
-#[cfg(feature = "enabled")]
 mod imp;
 #[cfg(not(feature = "enabled"))]
 mod noop;
 
+pub use imp::{flush_thread, reset, snapshot, Counter, Gauge};
 #[cfg(feature = "enabled")]
-pub use imp::{flush_thread, reset, snapshot, span, Counter, Gauge, SpanGuard};
+pub use imp::{span, SpanGuard};
 #[cfg(not(feature = "enabled"))]
-pub use noop::{flush_thread, reset, snapshot, span, Counter, Gauge, SpanGuard};
+pub use noop::{span, SpanGuard};
 
 /// Accumulated statistics of one span path.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -77,8 +77,8 @@ pub struct SpanStat {
 /// A point-in-time view of every registered metric.
 ///
 /// Counter and gauge keys are the registered names; span keys are
-/// `/`-joined hierarchical paths. With the `enabled` feature off every
-/// snapshot is empty.
+/// `/`-joined hierarchical paths. With the `enabled` feature off the
+/// span map stays empty.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     /// Monotonic counter totals by name (zero-valued entries are kept,
@@ -170,7 +170,7 @@ impl Snapshot {
     }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Mutex;
@@ -228,6 +228,7 @@ mod tests {
         assert_eq!(A.get(), 400, "worker shards flush on thread exit");
     }
 
+    #[cfg(feature = "enabled")]
     #[test]
     fn spans_nest_hierarchically() {
         let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -280,7 +281,9 @@ mod tests {
         let mut totals = first.clone();
         totals.absorb(&snapshot());
         assert_eq!(totals.counter("test.a"), 8);
-        assert_eq!(totals.span("absorb.work").count, 2);
+        if cfg!(feature = "enabled") {
+            assert_eq!(totals.span("absorb.work").count, 2);
+        }
         assert_eq!(totals.gauge("test.peak"), 4.0, "gauges absorb as high-water maxima");
     }
 
@@ -296,6 +299,8 @@ mod tests {
         }
         let delta = snapshot().since(&before);
         assert_eq!(delta.counter("test.a"), 7);
-        assert_eq!(delta.span("delta.work").count, 1);
+        if cfg!(feature = "enabled") {
+            assert_eq!(delta.span("delta.work").count, 1);
+        }
     }
 }

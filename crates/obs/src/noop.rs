@@ -1,75 +1,6 @@
-//! The disabled (default-for-dependents) implementation: every type is
-//! zero-sized and every operation compiles to nothing, so instrumented
-//! hot paths cost literally zero instructions and the workspace's
-//! zero-allocation guarantees hold with observability off.
-
-use crate::Snapshot;
-
-/// A named monotonic counter (disabled: all operations are no-ops).
-pub struct Counter {
-    name: &'static str,
-}
-
-impl Counter {
-    /// A counter named `name`.
-    pub const fn new(name: &'static str) -> Self {
-        Self { name }
-    }
-
-    /// The registered name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn add(&self, _n: u64) {}
-
-    /// No-op.
-    #[inline(always)]
-    pub fn incr(&self) {}
-
-    /// Always 0 with observability disabled.
-    #[inline(always)]
-    pub fn get(&self) -> u64 {
-        0
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn reset(&self) {}
-}
-
-/// A named gauge (disabled: all operations are no-ops).
-pub struct Gauge {
-    name: &'static str,
-}
-
-impl Gauge {
-    /// A gauge named `name`.
-    pub const fn new(name: &'static str) -> Self {
-        Self { name }
-    }
-
-    /// The registered name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn set(&self, _value: f64) {}
-
-    /// No-op.
-    #[inline(always)]
-    pub fn set_max(&self, _value: f64) {}
-
-    /// Always 0.0 with observability disabled.
-    #[inline(always)]
-    pub fn get(&self) -> f64 {
-        0.0
-    }
-}
+//! Span timing compiled out (the `enabled` feature off): the guard is
+//! zero-sized and opening a span reads no clock. Counters and gauges
+//! are unaffected — they live in [`crate::imp`] in every build.
 
 /// Zero-sized span guard; dropping it does nothing.
 #[must_use = "a span measures the scope of its guard"]
@@ -80,17 +11,3 @@ pub struct SpanGuard;
 pub fn span(_name: &'static str) -> SpanGuard {
     SpanGuard
 }
-
-/// No-op.
-#[inline(always)]
-pub fn flush_thread() {}
-
-/// Always the empty snapshot with observability disabled.
-#[inline(always)]
-pub fn snapshot() -> Snapshot {
-    Snapshot::default()
-}
-
-/// No-op.
-#[inline(always)]
-pub fn reset() {}

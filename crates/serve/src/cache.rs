@@ -6,7 +6,7 @@
 //! An [`EvalEngine`] owns both the lowered plan *and* the evaluation
 //! slabs for one `(expression, graph shape)` pair; after its first
 //! call it re-evaluates with zero steady-state allocations
-//! ([`gel_lang::eval_slab_allocs`] is flat). Caching whole engines
+//! ([`gel_lang::eval_slab_allocs`] stays flat). Caching whole engines
 //! therefore buys two things at once: warm requests skip re-lowering
 //! (`plan.builds` stays put — the `--bench serve --smoke` gate), and
 //! they skip slab growth too.

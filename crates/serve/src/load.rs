@@ -125,7 +125,7 @@ pub fn run_load(server: &Server, cfg: &LoadConfig) -> Result<LoadReport, ClientE
         throughput_rps: lat_ns.len() as f64 / wall_secs,
         cache_hits: stats_after.cache_hits - stats_before.cache_hits,
         cache_misses: stats_after.cache_misses - stats_before.cache_misses,
-        plan_builds: gel_lang::eval_plan_builds() - builds_before,
+        plan_builds: gel_lang::eval_plan_builds().saturating_sub(builds_before),
     })
 }
 
@@ -197,6 +197,6 @@ pub fn run_load_batched(
         throughput_rps: lat_ns.len() as f64 / wall_secs,
         cache_hits: stats_after.cache_hits - stats_before.cache_hits,
         cache_misses: stats_after.cache_misses - stats_before.cache_misses,
-        plan_builds: gel_lang::eval_plan_builds() - builds_before,
+        plan_builds: gel_lang::eval_plan_builds().saturating_sub(builds_before),
     })
 }

@@ -40,7 +40,7 @@ use std::collections::HashMap;
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 
 use gel_graph::Graph;
@@ -101,12 +101,6 @@ struct Shared {
     inflight: AtomicUsize,
     requests: AtomicU64,
     rejected: AtomicU64,
-    /// Sum of per-request [`gel_obs::Snapshot::since`] deltas —
-    /// request-attributed observability, distinct from whatever else
-    /// the process does. Under concurrency a delta may also absorb
-    /// metrics another thread flushed in the window; totals remain
-    /// exact, attribution is best-effort.
-    obs_totals: Mutex<gel_obs::Snapshot>,
     /// Optional on-disk corpus ([`gel_store::Store`]): eval requests
     /// naming a graph absent from the in-memory registry fall back to
     /// opening its segment and registering it, so clients address
@@ -145,7 +139,6 @@ impl Server {
             inflight: AtomicUsize::new(0),
             requests: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            obs_totals: Mutex::new(gel_obs::Snapshot::default()),
             store: RwLock::new(None),
             shutdown: AtomicBool::new(false),
         });
@@ -192,13 +185,6 @@ impl Server {
     /// [`Request::Stats`] round-trip returns.
     pub fn stats(&self) -> StatsReply {
         stats(&self.shared)
-    }
-
-    /// The accumulated per-request observability attribution (sum of
-    /// [`gel_obs::Snapshot::since`] deltas over served requests).
-    /// Empty unless the `obs` feature is enabled.
-    pub fn obs_totals(&self) -> gel_obs::Snapshot {
-        self.shared.obs_totals.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
     /// Stops accepting connections and joins the acceptor thread.
@@ -260,13 +246,14 @@ fn handle_connection(state: Arc<Shared>, stream: TcpStream) {
             Err(_) => return,
         };
         debug_assert!(payload_ok);
-        let before = gel_obs::snapshot();
         let resp = {
             let _sp = gel_obs::span("serve.request");
             handle_request(&state, &frame)
         };
-        let delta = gel_obs::snapshot().since(&before);
-        state.obs_totals.lock().unwrap_or_else(|e| e.into_inner()).absorb(&delta);
+        // Publish this request's counts before the client can see the
+        // response: the connection thread lives as long as the client,
+        // so its shard would otherwise flush only at disconnect.
+        gel_obs::flush_thread();
         encode_response(&resp, &mut out);
         if write_frame(&mut writer, &out).is_err() {
             return;

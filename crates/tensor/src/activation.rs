@@ -5,12 +5,10 @@
 //! non-differentiable and only used by the *evaluation-only* language
 //! interpreter, never by training code; their `derivative` is 0.
 
-use serde::{Deserialize, Serialize};
-
 use crate::matrix::Matrix;
 
 /// A pointwise non-linearity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Activation {
     /// The identity function (no non-linearity).
     Identity,

@@ -46,7 +46,7 @@ pub use activation::Activation;
 pub use dense::Dense;
 pub use init::Init;
 pub use loss::{accuracy, softmax_rows, Loss};
-pub use matrix::{buffer_allocs, Matrix};
+pub use matrix::{Matrix, BUFFER_ALLOCS};
 pub use mlp::Mlp;
 pub use optim::{clip_grad_norm, Adam, Optimizer, Sgd};
 pub use param::{Param, Parameterized};

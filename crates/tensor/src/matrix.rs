@@ -11,10 +11,8 @@
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::activation::Activation;
 use crate::kernels;
@@ -69,38 +67,26 @@ fn dispatch(parallel: bool) -> bool {
     parallel
 }
 
-/// Process-wide count of fresh `f64` buffer allocations made by
-/// `Matrix` (constructors, clones, and capacity-growing reshapes).
+/// Fresh `f64` buffer allocations made by `Matrix` (constructors,
+/// clones, and capacity-growing reshapes), since the last
+/// [`gel_obs::reset`].
 ///
 /// This is the allocation counter behind the zero-allocation hot-path
 /// contract: a steady-state training step that runs entirely through
 /// the `*_into` kernels and a warmed-up [`crate::Scratch`] pool leaves
-/// this counter unchanged. Callers take deltas
-/// (`buffer_allocs()` before/after); the counter is monotone and never
-/// reset.
-static BUFFER_ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-/// Resettable gel-obs view of the same allocation events, so the
-/// experiment harness can attribute allocations per phase
-/// ([`BUFFER_ALLOCS`] itself stays monotone by contract).
-static OBS_BUFFER_ALLOCS: gel_obs::Counter = gel_obs::Counter::new("tensor.buffer_allocs");
-
-/// Monotone count of `Matrix` heap-buffer allocations so far in this
-/// process (see [`BUFFER_ALLOCS`]'s doc for the measurement contract).
-pub fn buffer_allocs() -> u64 {
-    BUFFER_ALLOCS.load(Ordering::Relaxed)
-}
+/// this counter unchanged. Callers take deltas of
+/// `BUFFER_ALLOCS.get()` around the step.
+pub static BUFFER_ALLOCS: gel_obs::Counter = gel_obs::Counter::new("tensor.buffer_allocs");
 
 #[inline]
 fn note_alloc(len: usize) {
     if len > 0 {
-        BUFFER_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        OBS_BUFFER_ALLOCS.incr();
+        BUFFER_ALLOCS.incr();
     }
 }
 
 /// A dense row-major matrix of `f64`.
-#[derive(PartialEq, Serialize, Deserialize)]
+#[derive(PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -1,12 +1,10 @@
 //! Learnable parameters with accumulated gradients and optimizer state.
 
-use serde::{Deserialize, Serialize};
-
 use crate::matrix::Matrix;
 
 /// A learnable matrix parameter: value, gradient accumulator, and
 /// per-parameter Adam moments (allocated lazily by the optimizer).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Param {
     /// Current value.
     pub value: Matrix,

@@ -6,7 +6,7 @@
 //! return them when done. After one warm-up step the pool holds a
 //! buffer for every temporary the step needs and steady-state
 //! iterations touch the heap zero times (see
-//! [`crate::buffer_allocs`]).
+//! [`crate::BUFFER_ALLOCS`]).
 //!
 //! ## Contract
 //!
@@ -111,19 +111,19 @@ impl Scratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::buffer_allocs;
+    use crate::matrix::BUFFER_ALLOCS;
 
     #[test]
     fn take_put_cycle_reuses_buffer() {
         let mut s = Scratch::new();
         let a = s.take(4, 4); // cold: allocates
         s.put(a);
-        let before = buffer_allocs();
+        let before = BUFFER_ALLOCS.get();
         for _ in 0..100 {
             let m = s.take(4, 4);
             s.put(m);
         }
-        assert_eq!(buffer_allocs() - before, 0, "warm take/put must not allocate");
+        assert_eq!(BUFFER_ALLOCS.get() - before, 0, "warm take/put must not allocate");
     }
 
     #[test]
@@ -131,11 +131,11 @@ mod tests {
         let mut s = Scratch::new();
         let a = s.take(8, 8);
         s.put(a);
-        let before = buffer_allocs();
+        let before = BUFFER_ALLOCS.get();
         let b = s.take(2, 3);
         assert_eq!(b.shape(), (2, 3));
         s.put(b);
-        assert_eq!(buffer_allocs() - before, 0, "2x3 fits in the pooled 8x8 buffer");
+        assert_eq!(BUFFER_ALLOCS.get() - before, 0, "2x3 fits in the pooled 8x8 buffer");
     }
 
     #[test]

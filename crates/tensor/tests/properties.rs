@@ -2,7 +2,7 @@
 //! algebraic laws every downstream layer silently relies on.
 
 use gel_tensor::kernels::{gather_sum_into, gather_wsum_into, matmul_ikj_into};
-use gel_tensor::{buffer_allocs, Activation, Matrix, Scratch};
+use gel_tensor::{Activation, Matrix, Scratch, BUFFER_ALLOCS};
 use proptest::prelude::*;
 
 fn small_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -218,7 +218,7 @@ proptest! {
         let mut scratch = Scratch::new();
         // Warm: one buffer of the largest shape this test will request.
         scratch.put(Matrix::zeros(8, 8));
-        let base = buffer_allocs();
+        let base = BUFFER_ALLOCS.get();
         for _ in 0..16 {
             let m = scratch.take(r, c);
             prop_assert_eq!(m.shape(), (r, c));
@@ -228,7 +228,7 @@ proptest! {
             prop_assert!(z.data().iter().all(|&x| x == 0.0));
             scratch.put(z);
         }
-        prop_assert_eq!(buffer_allocs() - base, 0,
+        prop_assert_eq!(BUFFER_ALLOCS.get() - base, 0,
             "scratch reuse allocated in steady state");
     }
 }

@@ -51,7 +51,7 @@ pub use color_refinement::{
 pub use incremental::{IncrementalColoring, IncrementalStats};
 pub use kwl::{distinguishing_level, k_wl, k_wl_equivalent, WlVariant};
 pub use partition::{
-    canonical_rename, label_key, wl_scratch_allocs, wl_scratch_init_allocs, Color, Coloring,
-    Renamer, SigArena,
+    canonical_rename, label_key, Color, Coloring, Renamer, SigArena, SCRATCH_ALLOCS,
+    SCRATCH_INIT_ALLOCS,
 };
 pub use relational::{relational_color_refinement, relational_cr_equivalent};

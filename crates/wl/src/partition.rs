@@ -27,7 +27,8 @@ const RENAME_PAR_THRESHOLD: usize = 1 << 12;
 /// grow. The first couple of rounds legitimately bump this while the
 /// partition is still splitting (signatures widen as colours multiply);
 /// rounds past that sizing phase must not — the
-/// `gel-bench --bench wl -- --smoke` gate asserts it.
+/// `gel-bench --bench wl -- --smoke` gate diffs this counter around
+/// refinement calls to assert it.
 ///
 /// First-use sizing of a fresh buffer (capacity 0 → sized) is counted
 /// separately in [`SCRATCH_INIT_ALLOCS`]. Before that split, every
@@ -47,20 +48,6 @@ pub static SCRATCH_INIT_ALLOCS: gel_obs::Counter = gel_obs::Counter::new("wl.scr
 /// Refinement rounds executed (colour refinement, k-WL and relational
 /// CR all count here; reported as `kwl_rounds` in the bench JSON).
 pub static REFINE_ROUNDS: gel_obs::Counter = gel_obs::Counter::new("wl.refine.rounds");
-
-/// Current value of [`SCRATCH_ALLOCS`] — scratch *regrowth* events
-/// across all refinement runs in this process (always 0 with the `obs`
-/// feature off). The wl bench's `--smoke` gate diffs this around
-/// refinement calls to prove steady-state rounds never allocate.
-pub fn wl_scratch_allocs() -> u64 {
-    SCRATCH_ALLOCS.get()
-}
-
-/// Current value of [`SCRATCH_INIT_ALLOCS`] — first-use scratch sizing
-/// events (always 0 with the `obs` feature off).
-pub fn wl_scratch_init_allocs() -> u64 {
-    SCRATCH_INIT_ALLOCS.get()
-}
 
 /// Ensures `v` can hold `cap` items without reallocating, counting
 /// first-use sizing through [`SCRATCH_INIT_ALLOCS`] and growth of an
