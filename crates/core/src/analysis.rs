@@ -9,9 +9,10 @@
 //!   `MPNN(Ω,Θ) = GGEL_2(Ω,Θ)` and the bound improves to colour
 //!   refinement (slide 51).
 
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
-use crate::ast::Expr;
+use crate::ast::{memo_shared, shared_addr, Expr, VarMemo};
 use crate::func::Agg;
 use crate::table::Var;
 
@@ -68,10 +69,13 @@ impl fmt::Display for ExpressivenessReport {
     }
 }
 
-/// Runs the recipe on an expression.
+/// Runs the recipe on an expression. Linear in the distinct nodes of a
+/// shared DAG: every walk memoizes at [`Expr::Shared`] boundaries.
 pub fn analyze(expr: &Expr) -> ExpressivenessReport {
-    let width = expr.all_vars().len().max(1);
-    let guarded = is_mpnn(expr);
+    let mut walk = Walk::default();
+    let all_vars = expr.all_vars();
+    let width = all_vars.len().max(1);
+    let guarded = two_variables(&all_vars) && walk.mpnn_shape(expr, true);
     let fragment = if guarded { Fragment::Mpnn } else { Fragment::Gel(width) };
     let bound = match fragment {
         Fragment::Mpnn => WlBound::ColorRefinement,
@@ -81,34 +85,36 @@ pub fn analyze(expr: &Expr) -> ExpressivenessReport {
         Fragment::Gel(_) => WlBound::ColorRefinement,
     };
     let mut aggregators = Vec::new();
-    collect_aggs(expr, &mut aggregators);
-    aggregators.dedup();
+    collect_aggs(expr, &mut aggregators, &mut HashMap::new());
     ExpressivenessReport {
         fragment,
         width,
         bound,
         aggregators,
-        free_vars: expr.free_vars().into_iter().collect(),
+        free_vars: expr.free_vars_memo(&mut walk.free).into_iter().collect(),
     }
 }
 
-fn collect_aggs(expr: &Expr, out: &mut Vec<Agg>) {
+/// Pushes each aggregator in first-appearance order. A shared node is
+/// entered once: a second visit could only find aggregators already
+/// pushed.
+fn collect_aggs(expr: &Expr, out: &mut Vec<Agg>, seen: &mut HashMap<usize, ()>) {
     match expr {
         Expr::Apply { args, .. } => {
             for a in args {
-                collect_aggs(a, out);
+                collect_aggs(a, out, seen);
             }
         }
         Expr::Aggregate { agg, value, guard, .. } => {
             if !out.contains(agg) {
                 out.push(*agg);
             }
-            collect_aggs(value, out);
+            collect_aggs(value, out, seen);
             if let Some(g) = guard {
-                collect_aggs(g, out);
+                collect_aggs(g, out, seen);
             }
         }
-        Expr::Shared(e) => collect_aggs(e, out),
+        Expr::Shared(rc) => memo_shared(seen, |m| m, shared_addr(rc), |m| collect_aggs(rc, out, m)),
         _ => {}
     }
 }
@@ -124,63 +130,97 @@ fn collect_aggs(expr: &Expr, out: &mut Vec<Agg>) {
 /// * a closed expression may additionally use one *global* aggregation
 ///   over the single remaining free variable (slide 46).
 pub fn is_mpnn(expr: &Expr) -> bool {
-    if !expr.all_vars().iter().all(|&v| v == 1 || v == 2) {
-        return false;
-    }
-    mpnn_shape(expr, true)
+    two_variables(&expr.all_vars()) && Walk::default().mpnn_shape(expr, true)
 }
 
-fn contains_global_agg(expr: &Expr) -> bool {
-    match expr {
-        Expr::Aggregate { guard: None, .. } => true,
-        Expr::Aggregate { value, guard: Some(g), .. } => {
-            contains_global_agg(value) || contains_global_agg(g)
-        }
-        Expr::Apply { args, .. } => args.iter().any(contains_global_agg),
-        Expr::Shared(e) => contains_global_agg(e),
-        _ => false,
-    }
+fn two_variables(vars: &BTreeSet<Var>) -> bool {
+    vars.iter().all(|&v| v == 1 || v == 2)
 }
 
-fn mpnn_shape(expr: &Expr, allow_global: bool) -> bool {
-    match expr {
-        Expr::Label { .. } | Expr::LabelVec { .. } | Expr::Const { .. } => true,
-        Expr::Edge { .. } | Expr::Cmp { .. } => false, // only allowed as guards
-        Expr::Apply { args, .. } => {
-            if args.iter().any(contains_global_agg) {
-                // A global aggregate is a *graph*-level value; it may be
-                // post-processed by readout functions (slide 46) but not
-                // combined with open vertex expressions — that would be a
-                // "virtual node" feature exceeding the CR bound.
-                allow_global && args.iter().all(|a| a.free_vars().is_empty() && mpnn_shape(a, true))
-            } else {
-                args.iter().all(|a| mpnn_shape(a, allow_global))
+/// `e` with the `Shared` wrappers around its root removed.
+fn unwrap_shared(mut e: &Expr) -> &Expr {
+    while let Expr::Shared(rc) = e {
+        e = rc;
+    }
+    e
+}
+
+/// The memos of one fragment analysis, one per fact, each keyed at
+/// [`Expr::Shared`] boundaries (see [`memo_shared`]).
+#[derive(Default)]
+struct Walk {
+    free: VarMemo,
+    global: HashMap<usize, bool>,
+    shape: HashMap<(usize, bool), bool>,
+}
+
+impl Walk {
+    fn contains_global_agg(&mut self, expr: &Expr) -> bool {
+        match expr {
+            Expr::Aggregate { guard: None, .. } => true,
+            Expr::Aggregate { value, guard: Some(g), .. } => {
+                self.contains_global_agg(value) || self.contains_global_agg(g)
             }
+            Expr::Apply { args, .. } => args.iter().any(|a| self.contains_global_agg(a)),
+            Expr::Shared(rc) => {
+                memo_shared(self, |w| &mut w.global, shared_addr(rc), |w| w.contains_global_agg(rc))
+            }
+            _ => false,
         }
-        Expr::Aggregate { over, value, guard, .. } => {
-            if over.len() != 1 {
-                return false;
-            }
-            let y = over[0];
-            match guard {
-                Some(g) => {
-                    // Must be exactly E(x, y) or E(y, x) with x ≠ y.
-                    let ok_guard = matches!(
-                        g.as_ref(),
-                        Expr::Edge { from, to }
-                            if (*to == y && *from != y) || (*from == y && *to != y)
-                    );
-                    ok_guard && mpnn_shape(value, false)
+    }
+
+    fn mpnn_shape(&mut self, expr: &Expr, allow_global: bool) -> bool {
+        match expr {
+            Expr::Label { .. } | Expr::LabelVec { .. } | Expr::Const { .. } => true,
+            Expr::Edge { .. } | Expr::Cmp { .. } => false, // only allowed as guards
+            Expr::Apply { args, .. } => {
+                if args.iter().any(|a| self.contains_global_agg(a)) {
+                    // A global aggregate is a *graph*-level value; it may
+                    // be post-processed by readout functions (slide 46)
+                    // but not combined with open vertex expressions —
+                    // that would be a "virtual node" feature exceeding
+                    // the CR bound.
+                    allow_global
+                        && args.iter().all(|a| {
+                            a.free_vars_memo(&mut self.free).is_empty() && self.mpnn_shape(a, true)
+                        })
+                } else {
+                    args.iter().all(|a| self.mpnn_shape(a, allow_global))
                 }
-                None => {
-                    // Global aggregation: only allowed at the outermost
-                    // level (readout, slide 46) and the body must be a
-                    // 1-variable MPNN expression.
-                    allow_global && value.free_vars().len() <= 1 && mpnn_shape(value, false)
+            }
+            Expr::Aggregate { over, value, guard, .. } => {
+                if over.len() != 1 {
+                    return false;
+                }
+                let y = over[0];
+                match guard {
+                    Some(g) => {
+                        // Must be exactly E(x, y) or E(y, x) with x ≠ y,
+                        // shared or not.
+                        let ok_guard = matches!(
+                            unwrap_shared(g),
+                            Expr::Edge { from, to }
+                                if (*to == y && *from != y) || (*from == y && *to != y)
+                        );
+                        ok_guard && self.mpnn_shape(value, false)
+                    }
+                    None => {
+                        // Global aggregation: only allowed at the
+                        // outermost level (readout, slide 46) and the
+                        // body must be a 1-variable MPNN expression.
+                        allow_global
+                            && value.free_vars_memo(&mut self.free).len() <= 1
+                            && self.mpnn_shape(value, false)
+                    }
                 }
             }
+            Expr::Shared(rc) => memo_shared(
+                self,
+                |w| &mut w.shape,
+                (shared_addr(rc), allow_global),
+                |w| w.mpnn_shape(rc, allow_global),
+            ),
         }
-        Expr::Shared(e) => mpnn_shape(e, allow_global),
     }
 }
 

@@ -16,6 +16,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use crate::func::{Agg, Func};
@@ -100,11 +101,22 @@ pub enum Expr {
     /// makes the *materialized* tree exponential in the round count
     /// (millions of nodes) even though the number of distinct subtrees
     /// is linear. Wrapping each round in `Shared` keeps construction,
-    /// plan lowering and drop linear. [`Expr::structural_hash`] and
-    /// evaluation see straight through the wrapper;
-    /// [`Expr::rename_var`] preserves sharing by renaming each shared
-    /// node once. Note `PartialEq` (derived) does *not* unwrap:
-    /// `Shared(e) != e` structurally.
+    /// plan lowering and drop linear.
+    ///
+    /// Every observer on the request path is linear in the DAG's
+    /// *distinct* nodes: [`Expr::validate`], [`Expr::dim`],
+    /// [`Expr::free_vars`], [`Expr::all_vars`], [`Expr::rename_var`],
+    /// [`crate::expr_dag_hash`], [`crate::check_against_graph`] and
+    /// [`crate::analyze`] memoize their context-free result per shared
+    /// node (keyed by `Arc` target address), so they answer exactly as
+    /// the unfolded tree would at the cost of the DAG. `rename_var`
+    /// also preserves the sharing in its output. Four observers still
+    /// unfold on purpose: [`Expr::structural_hash`] is the independent
+    /// oracle the memoized hash is checked against, [`Expr::size`]
+    /// counts the logical (unfolded) tree by definition, `Display`
+    /// prints the unfolded text the parser reads back, and `PartialEq`
+    /// (derived) compares structure and does *not* unwrap:
+    /// `Shared(e) != e`. None of the four runs on a served request.
     Shared(
         /// The shared subexpression.
         Arc<Expr>,
@@ -154,27 +166,38 @@ impl Expr {
     /// Panics on ill-typed expressions; call [`Expr::validate`] first
     /// when handling untrusted input.
     pub fn dim(&self) -> usize {
+        self.dim_memo(&mut HashMap::new())
+    }
+
+    fn dim_memo(&self, memo: &mut HashMap<usize, usize>) -> usize {
         match self {
             Expr::Label { .. } | Expr::Edge { .. } | Expr::Cmp { .. } => 1,
             Expr::LabelVec { dim, .. } => *dim,
             Expr::Const { values } => values.len(),
             Expr::Apply { func, args } => {
-                let d_in: usize = args.iter().map(Expr::dim).sum();
+                let d_in: usize = args.iter().map(|a| a.dim_memo(memo)).sum();
                 func.out_dim(d_in).expect("ill-typed Apply; validate first")
             }
-            Expr::Aggregate { value, .. } => value.dim(),
-            Expr::Shared(e) => e.dim(),
+            Expr::Aggregate { value, .. } => value.dim_memo(memo),
+            Expr::Shared(rc) => memo_shared(memo, |m| m, shared_addr(rc), |m| rc.dim_memo(m)),
         }
     }
 
     /// The set of free variables (paper: `fv(φ)`).
     pub fn free_vars(&self) -> BTreeSet<Var> {
+        self.free_vars_memo(&mut HashMap::new())
+    }
+
+    /// [`Expr::free_vars`] with a caller-held memo of the free
+    /// variables of each [`Expr::Shared`] node, so several queries over
+    /// one DAG (the fragment analysis asks at many nodes) share work.
+    pub(crate) fn free_vars_memo(&self, memo: &mut VarMemo) -> BTreeSet<Var> {
         let mut out = BTreeSet::new();
-        self.collect_free(&mut out);
+        self.collect_free(&mut out, memo);
         out
     }
 
-    fn collect_free(&self, out: &mut BTreeSet<Var>) {
+    fn collect_free(&self, out: &mut BTreeSet<Var>, memo: &mut VarMemo) {
         match self {
             Expr::Label { var, .. } | Expr::LabelVec { var, .. } => {
                 out.insert(*var);
@@ -190,21 +213,23 @@ impl Expr {
             Expr::Const { .. } => {}
             Expr::Apply { args, .. } => {
                 for a in args {
-                    a.collect_free(out);
+                    a.collect_free(out, memo);
                 }
             }
             Expr::Aggregate { over, value, guard, .. } => {
                 let mut inner = BTreeSet::new();
-                value.collect_free(&mut inner);
+                value.collect_free(&mut inner, memo);
                 if let Some(g) = guard {
-                    g.collect_free(&mut inner);
+                    g.collect_free(&mut inner, memo);
                 }
                 for v in over {
                     inner.remove(v);
                 }
                 out.extend(inner);
             }
-            Expr::Shared(e) => e.collect_free(out),
+            Expr::Shared(rc) => {
+                out.extend(memo_shared(memo, |m| m, shared_addr(rc), |m| rc.free_vars_memo(m)))
+            }
         }
     }
 
@@ -212,12 +237,16 @@ impl Expr {
     /// *variable width* used by the fragment analysis (`GEL_k` uses at
     /// most `k` distinct variables, slide 62).
     pub fn all_vars(&self) -> BTreeSet<Var> {
+        self.all_vars_memo(&mut HashMap::new())
+    }
+
+    fn all_vars_memo(&self, memo: &mut VarMemo) -> BTreeSet<Var> {
         let mut out = BTreeSet::new();
-        self.collect_all(&mut out);
+        self.collect_all(&mut out, memo);
         out
     }
 
-    fn collect_all(&self, out: &mut BTreeSet<Var>) {
+    fn collect_all(&self, out: &mut BTreeSet<Var>, memo: &mut VarMemo) {
         match self {
             Expr::Label { var, .. } | Expr::LabelVec { var, .. } => {
                 out.insert(*var);
@@ -233,22 +262,33 @@ impl Expr {
             Expr::Const { .. } => {}
             Expr::Apply { args, .. } => {
                 for a in args {
-                    a.collect_all(out);
+                    a.collect_all(out, memo);
                 }
             }
             Expr::Aggregate { over, value, guard, .. } => {
                 out.extend(over.iter().copied());
-                value.collect_all(out);
+                value.collect_all(out, memo);
                 if let Some(g) = guard {
-                    g.collect_all(out);
+                    g.collect_all(out, memo);
                 }
             }
-            Expr::Shared(e) => e.collect_all(out),
+            Expr::Shared(rc) => {
+                out.extend(memo_shared(memo, |m| m, shared_addr(rc), |m| rc.all_vars_memo(m)))
+            }
         }
     }
 
-    /// Type-checks the expression; `Ok(dim)` on success.
+    /// Type-checks the expression; `Ok(dim)` on success. On an
+    /// ill-typed expression the error is the first one a pre-order,
+    /// left-to-right walk (value before guard) meets.
     pub fn validate(&self) -> Result<usize, TypeError> {
+        self.validate_memo(&mut HashMap::new())
+    }
+
+    fn validate_memo(
+        &self,
+        memo: &mut HashMap<usize, Result<usize, TypeError>>,
+    ) -> Result<usize, TypeError> {
         match self {
             Expr::Label { var, .. } | Expr::LabelVec { var, .. } => {
                 if *var == 0 {
@@ -276,11 +316,14 @@ impl Expr {
             }
             Expr::Const { values } => Ok(values.len()),
             Expr::Apply { func, args } => {
+                // A shared DAG can double a dimension per level, so the
+                // sum can overflow; no function accepts that input.
                 let mut d_in = 0usize;
                 for a in args {
-                    d_in += a.validate()?;
+                    d_in = d_in.saturating_add(a.validate_memo(memo)?);
                 }
                 func.out_dim(d_in)
+                    .filter(|_| d_in != usize::MAX)
                     .ok_or_else(|| TypeError::FuncDimension { func: func.name(), d_in })
             }
             Expr::Aggregate { over, value, guard, .. } => {
@@ -293,16 +336,16 @@ impl Expr {
                 if dedup.len() != over.len() || dedup.contains(&0) {
                     return Err(TypeError::BadAggregationVars);
                 }
-                let d = value.validate()?;
+                let d = value.validate_memo(memo)?;
                 if let Some(g) = guard {
-                    let gd = g.validate()?;
+                    let gd = g.validate_memo(memo)?;
                     if gd != 1 {
                         return Err(TypeError::GuardDimension(gd));
                     }
                 }
                 Ok(d)
             }
-            Expr::Shared(e) => e.validate(),
+            Expr::Shared(rc) => memo_shared(memo, |m| m, shared_addr(rc), |m| rc.validate_memo(m)),
         }
     }
 
@@ -321,10 +364,10 @@ impl Expr {
     }
 
     /// [`Expr::rename_var`] with a per-call memo of already-renamed
-    /// [`Expr::Shared`] nodes (keyed by pointer), so renaming a shared
-    /// DAG stays linear in its *distinct* nodes and the result is
-    /// shared the same way the input was.
-    fn rename_memo(&self, from: Var, to: Var, memo: &mut HashMap<*const Expr, Arc<Expr>>) -> Expr {
+    /// [`Expr::Shared`] nodes, so renaming a shared DAG stays linear in
+    /// its *distinct* nodes and the result is shared the same way the
+    /// input was.
+    fn rename_memo(&self, from: Var, to: Var, memo: &mut HashMap<usize, Arc<Expr>>) -> Expr {
         let r = |v: Var| if v == from { to } else { v };
         match self {
             Expr::Label { j, var } => Expr::Label { j: *j, var: r(*var) },
@@ -342,15 +385,12 @@ impl Expr {
                 value: Box::new(value.rename_memo(from, to, memo)),
                 guard: guard.as_ref().map(|g| Box::new(g.rename_memo(from, to, memo))),
             },
-            Expr::Shared(rc) => {
-                let p = Arc::as_ptr(rc);
-                if let Some(hit) = memo.get(&p) {
-                    return Expr::Shared(Arc::clone(hit));
-                }
-                let renamed = Arc::new(rc.rename_memo(from, to, memo));
-                memo.insert(p, Arc::clone(&renamed));
-                Expr::Shared(renamed)
-            }
+            Expr::Shared(rc) => Expr::Shared(memo_shared(
+                memo,
+                |m| m,
+                shared_addr(rc),
+                |m| Arc::new(rc.rename_memo(from, to, m)),
+            )),
         }
     }
 
@@ -361,9 +401,9 @@ impl Expr {
     /// linear work.
     pub fn structural_hash(&self) -> u64 {
         if let Expr::Shared(e) = self {
-            // Transparent: hashes as its contents. (This unfolds the
-            // DAG; the plan compiler uses a pointer-memoized walk
-            // instead — see `plan::dag_hash`.)
+            // Transparent: hashes as its contents. This unfolds the DAG
+            // on purpose — it is the independent oracle for the
+            // memoized `crate::expr_dag_hash`, which request paths use.
             return e.structural_hash();
         }
         let mut h = self.hash_header();
@@ -465,6 +505,40 @@ impl Expr {
             Expr::Shared(e) => e.size(),
         }
     }
+}
+
+/// Per-walk memo of the variable set below each [`Expr::Shared`] node.
+pub(crate) type VarMemo = HashMap<usize, BTreeSet<Var>>;
+
+/// The memo key of a shared node: its `Arc` target address as a
+/// `usize` (not a raw pointer, so engines holding a memo stay `Send`).
+/// Unique for the length of one walk, since the walked expression keeps
+/// every shared node alive.
+#[inline]
+pub(crate) fn shared_addr(rc: &Arc<Expr>) -> usize {
+    Arc::as_ptr(rc) as usize
+}
+
+/// The memo-at-[`Expr::Shared`] step of every linear DAG walk (the
+/// plan hash, renaming, type checking, variable sets, the graph
+/// pre-flight and the fragment analysis): returns the result cached
+/// under `key` in the map `memo` selects from `state`, or computes it
+/// with `compute` and caches it. Sound because each of those facts
+/// about a shared sub-expression is context-free, so a DAG walk with
+/// this step answers exactly as the walk over its unfolded tree would,
+/// in time linear in the DAG's distinct nodes.
+pub(crate) fn memo_shared<S, K: Eq + Hash, T: Clone>(
+    state: &mut S,
+    memo: impl Fn(&mut S) -> &mut HashMap<K, T>,
+    key: K,
+    compute: impl FnOnce(&mut S) -> T,
+) -> T {
+    if let Some(hit) = memo(state).get(&key) {
+        return hit.clone();
+    }
+    let v = compute(state);
+    memo(state).insert(key, v.clone());
+    v
 }
 
 /// The mixing step of [`Expr::structural_hash`]. Exposed to the plan

@@ -76,10 +76,12 @@ impl Func {
             Func::Act(_) => Some(d_in),
             Func::Concat => Some(d_in),
             Func::Add { arity, dim } | Func::Mul { arity, dim } => {
-                (arity * dim == d_in && *arity >= 1).then_some(*dim)
+                (arity.checked_mul(*dim) == Some(d_in) && *arity >= 1).then_some(*dim)
             }
             Func::Scale(_) => Some(d_in),
-            Func::Proj { start, len } => (start + len <= d_in).then_some(*len),
+            Func::Proj { start, len } => {
+                start.checked_add(*len).is_some_and(|end| end <= d_in).then_some(*len)
+            }
             Func::Hash { .. } => (d_in >= 1).then_some(1),
         }
     }
@@ -276,6 +278,8 @@ mod tests {
         assert_eq!(run(&mul, &[2.0, 3.0, 4.0]), vec![24.0]);
         assert_eq!(add.out_dim(4), Some(2));
         assert_eq!(add.out_dim(5), None);
+        // `arity · dim` wraps to `d_in` here; decoded input can say so.
+        assert_eq!(Func::Add { arity: usize::MAX, dim: 2 }.out_dim(usize::MAX - 1), None);
     }
 
     #[test]
@@ -283,6 +287,7 @@ mod tests {
         let p = Func::Proj { start: 1, len: 2 };
         assert_eq!(run(&p, &[1.0, 2.0, 3.0, 4.0]), vec![2.0, 3.0]);
         assert_eq!(p.out_dim(2), None);
+        assert_eq!(Func::Proj { start: usize::MAX, len: 2 }.out_dim(4), None);
     }
 
     #[test]

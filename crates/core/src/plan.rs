@@ -44,7 +44,7 @@ use std::collections::HashMap;
 use gel_graph::{Graph, Vertex};
 use gel_tensor::kernels::{gather_sum_into, gather_sum_scalar};
 
-use crate::ast::{CmpOp, Expr};
+use crate::ast::{memo_shared, shared_addr, CmpOp, Expr};
 use crate::eval::EvalOptions;
 use crate::func::{Agg, Func};
 use crate::sparse::{
@@ -1071,8 +1071,9 @@ impl EvalEngine {
         // sweeping the dense `n^k` cross product (paper slide 70).
         if self.opts.sparse && agg == Agg::Sum && !over.is_empty() {
             let mut atoms: Vec<&Expr> = Vec::new();
-            let ok = collect_indicator_atoms(value, &mut atoms)
-                && guard.is_none_or(|g0| collect_indicator_atoms(g0, &mut atoms));
+            let seen = &mut HashMap::new();
+            let ok = collect_indicator_atoms(value, &mut atoms, seen)
+                && guard.is_none_or(|g0| collect_indicator_atoms(g0, &mut atoms, seen));
             if ok && !atoms.is_empty() {
                 let mut all: Vec<Var> =
                     atoms.iter().flat_map(|a| atom_vars(a)).chain(over.iter().copied()).collect();
@@ -1378,15 +1379,7 @@ impl EvalEngine {
 /// identical values — `Shared` is transparent to the hash.
 fn dag_hash(e: &Expr, memo: &mut HashMap<usize, u64>) -> u64 {
     match e {
-        Expr::Shared(rc) => {
-            let p = std::sync::Arc::as_ptr(rc) as usize;
-            if let Some(&h) = memo.get(&p) {
-                return h;
-            }
-            let h = dag_hash(rc, memo);
-            memo.insert(p, h);
-            h
-        }
+        Expr::Shared(rc) => memo_shared(memo, |m| m, shared_addr(rc), |m| dag_hash(rc, m)),
         Expr::Apply { args, .. } => {
             let mut h = e.hash_header();
             for a in args {
@@ -1410,16 +1403,24 @@ fn dag_hash(e: &Expr, memo: &mut HashMap<usize, u64>) -> u64 {
 /// `Shared`. Returns `false` (leaving `out` in an unspecified state)
 /// when the expression contains anything else — the elimination path
 /// only fires on pure sum-product queries, where 0/1 factors keep
-/// every partial sum an exact integer.
-fn collect_indicator_atoms<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) -> bool {
+/// every partial sum an exact integer. A shared node is entered once:
+/// a 0/1 factor is idempotent under the product, so its repeats add
+/// nothing, and a doubling DAG of products stays linear here.
+fn collect_indicator_atoms<'a>(
+    e: &'a Expr,
+    out: &mut Vec<&'a Expr>,
+    seen: &mut HashMap<usize, bool>,
+) -> bool {
     match e {
-        Expr::Shared(rc) => collect_indicator_atoms(rc, out),
+        Expr::Shared(rc) => {
+            memo_shared(seen, |m| m, shared_addr(rc), |m| collect_indicator_atoms(rc, out, m))
+        }
         Expr::Edge { .. } | Expr::Cmp { op: CmpOp::Eq, .. } => {
             out.push(e);
             true
         }
         Expr::Apply { func: Func::Mul { dim: 1, .. }, args } => {
-            args.iter().all(|a| collect_indicator_atoms(a, out))
+            args.iter().all(|a| collect_indicator_atoms(a, out, seen))
         }
         _ => false,
     }
