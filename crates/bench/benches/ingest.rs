@@ -4,11 +4,12 @@
 //!
 //! Run with `cargo bench -p gel-bench --bench ingest [-- --smoke]`.
 //! Both modes stream over a million edges; `--smoke` uses the smaller
-//! graph and *asserts* the substrate contracts:
+//! graph. Every run *asserts* the substrate contracts (the first three
+//! in `gel_experiments::bench::ingest`, shared with `all --bench-json`):
 //!
 //! * **Bounded memory** — the builder's buffer high-water mark stays
 //!   within the chunk budget plus `O(n)` bookkeeping, independent of
-//!   the edge count ([`gel_store::IngestStats::peak_buffer_bytes`] is
+//!   the edge count (`gel_store::IngestStats::peak_buffer_bytes` is
 //!   measured, not trusted);
 //! * **Fidelity** — the segment round-trips: header statistics match
 //!   the streamed edge set, and the loaded graph passes its CSR
@@ -22,183 +23,43 @@
 //!   graph, so it is reported informationally and must instead trip
 //!   the global-cascade fallback (repair cost capped at ≈ one rebuild).
 
-use std::time::Instant;
-
-use gel_graph::random::rmat_edges;
-use gel_graph::{DynGraph, Graph};
-use gel_store::{IngestOptions, Store, Wal};
-use gel_wl::IncrementalColoring;
-
-/// Streams `edges` R-MAT edges (scale-`scale` vertex id space) into a
-/// WAL and builds the named segment; returns the stats and elapsed
-/// seconds of the whole streaming pipeline (generate → log → CSR).
-fn ingest(
-    store: &Store,
-    name: &str,
-    scale: u32,
-    edges: u64,
-    opts: IngestOptions,
-) -> (gel_store::IngestStats, f64) {
-    let wal_path = store.dir().join(format!("{name}.wal"));
-    let t = Instant::now();
-    let mut wal = Wal::create(&wal_path).expect("create wal");
-    wal.append_meta(1u64 << scale, 1).expect("append meta");
-    let mut batch = Vec::with_capacity(4096);
-    for (u, v) in rmat_edges(scale, edges, gel_bench::BENCH_SEED) {
-        batch.push((u, v));
-        if batch.len() == 4096 {
-            wal.append_edges(&batch).expect("append edges");
-            batch.clear();
-        }
-    }
-    if !batch.is_empty() {
-        wal.append_edges(&batch).expect("append edges");
-    }
-    wal.commit().expect("commit wal");
-    let stats = store.ingest_wal(name, &wal_path, opts).expect("build segment");
-    let secs = t.elapsed().as_secs_f64();
-    let _ = std::fs::remove_file(&wal_path);
-    (stats, secs)
-}
-
-/// Fresh stable colouring of `g` (the from-scratch baseline), timed.
-fn full_recolor(g: &DynGraph) -> (IncrementalColoring, f64) {
-    let t = Instant::now();
-    let c = IncrementalColoring::from_dyn(g.clone());
-    (c, t.elapsed().as_secs_f64())
-}
-
-/// The two highest-id minimum-degree vertices — the sparse frontier of
-/// the R-MAT stream (its skew leaves the top of the id space cold).
-/// This is where streamed edges touching fresh vertices land, the
-/// locality case the incremental index exists for.
-fn frontier_pair(g: &DynGraph) -> (u32, u32) {
-    let n = g.num_vertices() as u32;
-    let min_deg = (0..n).map(|v| g.out_neighbors(v).len()).min().expect("non-empty graph");
-    let mut picks = (0..n)
-        .rev()
-        .filter(|&v| g.out_neighbors(v).len() == min_deg)
-        .filter(|&v| g.out_neighbors(v).iter().all(|&u| u != v));
-    let u = picks.next().expect("at least one min-degree vertex");
-    let v = picks
-        .find(|&v| !g.out_neighbors(u).contains(&v))
-        .expect("two non-adjacent min-degree vertices");
-    (u, v)
-}
+use gel_experiments::bench;
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     // Both legs stream > 1M edges; the full run doubles everything.
     let (scale, edges) = if smoke { (17u32, 1u64 << 20) } else { (19u32, 1u64 << 21) };
-    let n = 1u64 << scale;
-
-    let dir = std::env::temp_dir().join(format!("gel-bench-ingest-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = Store::open(&dir).expect("open store");
-    let opts = IngestOptions::default();
-
-    let (stats, ingest_s) = ingest(&store, "rmat", scale, edges, opts);
-    let edges_per_s = edges as f64 / ingest_s.max(1e-12);
+    let r = bench::ingest(scale, edges);
     println!(
         "ingest rmat s{scale:<2}  {edges:>9} edges  {:>9} arcs  {:>6.2} s  {:>12.0} edges/s",
-        stats.meta.num_arcs, ingest_s, edges_per_s
+        r.stats.meta.num_arcs,
+        r.ingest_s,
+        r.edges_per_s()
     );
     println!(
-        "  passes {:<3} peak buffer {:>9} B  (chunk budget {} B + O(n) bookkeeping, n = {n})",
-        stats.passes, stats.peak_buffer_bytes, opts.chunk_budget_bytes
+        "  passes {:<3} peak buffer {:>9} B  (chunk budget {} B + O(n) bookkeeping, n = {})",
+        r.stats.passes,
+        r.stats.peak_buffer_bytes,
+        r.chunk_budget_bytes,
+        1u64 << scale
     );
-
-    // Bounded memory: chunk budget + O(n) bookkeeping (degrees,
-    // offsets, labels — ≤ 40 B/vertex), never O(m).
-    let bound = opts.chunk_budget_bytes as u64 + 40 * n;
-    assert!(
-        stats.peak_buffer_bytes <= bound,
-        "ingest peak {} exceeds budget+bookkeeping bound {bound}",
-        stats.peak_buffer_bytes
-    );
-
-    // Header statistics line up with what was streamed.
-    let meta = store.meta("rmat").expect("segment header");
-    assert_eq!(meta.n as u64, n);
-    assert!(meta.symmetric, "edge streaming produces a symmetric graph");
-    assert!(meta.num_arcs as u64 <= 2 * edges, "dedup can only shrink the arc set");
-
-    // Load once (checksum verified + CSR invariants checked on load).
-    let g: Graph = store.open_graph("rmat").expect("open segment");
-    let dyng = DynGraph::from_graph(&g);
-
-    // From-scratch recolour vs single-edge incremental repair, with
-    // bit-identity across thread counts. The gated edit lands on the
-    // sparse frontier; a hub edit is measured afterwards.
-    let (eu, ev) = frontier_pair(&dyng);
-    let mut edited = dyng.clone();
-    edited.insert_edge(eu, ev);
-
-    let mut fresh_by_threads = Vec::new();
-    let mut full_s = f64::INFINITY;
-    for threads in [1usize, 4] {
-        rayon::set_num_threads(threads);
-        let (fresh, secs) = full_recolor(&edited);
-        full_s = full_s.min(secs);
-        fresh_by_threads.push((threads, fresh.stable_coloring()));
-        rayon::set_num_threads(0);
-    }
-    let (t_a, col_a) = &fresh_by_threads[0];
-    let (t_b, col_b) = &fresh_by_threads[1];
-    assert_eq!(col_a, col_b, "fresh recolour differs between {t_a} and {t_b} threads");
-
-    let mut incr = IncrementalColoring::from_dyn(dyng.clone());
-    let t = Instant::now();
-    incr.insert_edge(eu, ev);
-    let incr_s = t.elapsed().as_secs_f64();
-    assert_eq!(
-        &incr.stable_coloring(),
-        col_a,
-        "incremental recolour diverged from the from-scratch recolour"
-    );
-    // And back: removing the edge restores the original partition.
-    let baseline = IncrementalColoring::new(&g).stable_coloring();
-    incr.remove_edge(eu, ev);
-    assert_eq!(incr.stable_coloring(), baseline, "remove must undo insert");
-
-    let speedup = full_s / incr_s.max(1e-12);
+    let speedup = r.incr_speedup();
+    let (eu, ev) = r.frontier;
     println!(
         "recolor       full {:>9.4} s   frontier edit ({eu},{ev}) {:>12.6} s   speedup {:>8.1}x",
-        full_s, incr_s, speedup
+        r.full_recolor_s, r.incr_recolor_s, speedup
+    );
+    let (hub, hv) = r.hub;
+    println!(
+        "              hub edit ({hub},{hv}) deg {:<6} {:>12.6} s  (global cascade -> rebuild fallback)",
+        r.hub_degree, r.hub_recolor_s
     );
     assert!(
         speedup >= 5.0,
         "incremental repair must beat a from-scratch recolour 5x on a \
          frontier edit (got {speedup:.1}x)"
     );
-
-    // Informational: an edit at the hottest hub recolours a constant
-    // fraction of the graph — real partition change, not repair waste —
-    // so it must trip the global-cascade fallback, capping its cost at
-    // about one parallel rebuild instead of a slower serial cascade.
-    let hub = (0..n as u32).max_by_key(|&v| dyng.out_neighbors(v).len()).expect("non-empty graph");
-    let mut hub_edited = dyng.clone();
-    hub_edited.insert_edge(hub, ev);
-    let (hub_fresh, _) = full_recolor(&hub_edited);
-    let t = Instant::now();
-    assert!(incr.insert_edge(hub, ev), "hub edge must be new");
-    let hub_s = t.elapsed().as_secs_f64();
-    assert_eq!(
-        incr.stable_coloring(),
-        hub_fresh.stable_coloring(),
-        "hub-edit recolour diverged from the from-scratch recolour"
-    );
-    assert!(
-        incr.stats().full_fallbacks >= 1,
-        "a hub edit at this scale must trip the cascade fallback"
-    );
-    println!(
-        "              hub edit ({hub},{ev}) deg {:<6} {:>12.6} s  (global cascade -> rebuild fallback)",
-        dyng.out_neighbors(hub).len(),
-        hub_s
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
+    assert!(r.full_fallbacks >= 1, "a hub edit at this scale must trip the cascade fallback");
     if smoke {
         println!(
             "ingest smoke gates passed: {edges} edges streamed in bounded memory, \

@@ -1,7 +1,8 @@
 //! Layer-step benchmark: one fused training step (forward + backward +
 //! optimizer) for an MLP and a 2-layer GIN, comparing the allocating
 //! API against the `_into`/scratch hot path, and a per-graph corpus
-//! epoch against the block-diagonally batched one.
+//! epoch against the block-diagonally batched one, plus forward and
+//! backward of a GNN-101 vertex model per aggregator.
 //!
 //! Run with `cargo bench -p gel-bench --bench layers [-- --smoke]`.
 //! `--smoke` shrinks the iteration counts for CI and *asserts* two
@@ -10,9 +11,11 @@
 //! block-diagonally batched epoch (timed as a min over rounds, pinned
 //! to four threads) is no slower than the per-graph epoch.
 
-use std::time::Instant;
-
-use gel_gnn::{train_graph_model, train_graph_model_batched, Gnn101Conv, GnnAgg, GraphModel};
+use gel_experiments::bench::min_secs_per_iter;
+use gel_gnn::{
+    train_graph_model, train_graph_model_batched, Gnn101Conv, GnnAgg, GraphModel, VertexModel,
+};
+use gel_graph::random::erdos_renyi;
 use gel_graph::{families, BatchedGraphs, Graph};
 use gel_tensor::{
     Activation, Adam, Dense, Init, Loss, Matrix, Mlp, Optimizer, Parameterized, Scratch, Sgd,
@@ -20,34 +23,6 @@ use gel_tensor::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-fn secs_per_iter(iters: u32, mut f: impl FnMut()) -> f64 {
-    // One untimed warm-up call so neither variant pays first-run costs.
-    f();
-    let t = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    t.elapsed().as_secs_f64() / f64::from(iters)
-}
-
-/// Minimum per-iteration time over several timed rounds (after one
-/// untimed warm-up call). The minimum is robust against one-off
-/// scheduler hiccups, which a single timed window is not — the batched
-/// speedup this file asserts on used to dip below 1 for exactly that
-/// reason.
-fn min_secs_per_iter(rounds: u32, iters: u32, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..rounds {
-        let t = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(t.elapsed().as_secs_f64() / f64::from(iters));
-    }
-    best
-}
 
 fn report(name: &str, allocating: f64, into: f64) {
     println!(
@@ -67,7 +42,7 @@ fn bench_mlp(iters: u32) {
     let mut model =
         Mlp::new(&[16, 32, 8], Activation::ReLU, Activation::Identity, Init::He, &mut rng);
     let mut opt = Sgd::new(0.01);
-    let alloc = secs_per_iter(iters, || {
+    let alloc = min_secs_per_iter(1, iters, || {
         model.zero_grads();
         let pred = model.forward(&x);
         let (_, grad) = Loss::Mse.eval(&pred, &target);
@@ -81,7 +56,7 @@ fn bench_mlp(iters: u32) {
     let mut scratch = Scratch::new();
     let (mut pred, mut grad, mut grad_in) =
         (Matrix::default(), Matrix::default(), Matrix::default());
-    let into = secs_per_iter(iters, || {
+    let into = min_secs_per_iter(1, iters, || {
         model.zero_grads();
         model.forward_into(&x, &mut scratch, &mut pred);
         let _ = Loss::Mse.eval_into(&pred, &target, &mut grad);
@@ -130,6 +105,29 @@ fn bench_gin_corpus(iters: u32) -> f64 {
         speedup
     );
     speedup
+}
+
+/// Forward + backward of a 4-layer GNN-101 vertex model per
+/// aggregator (the sum/mean/max ablation of DESIGN.md §6, behind E11
+/// and the L2/L3 encoders).
+fn bench_aggregators(iters: u32) {
+    let mut rng = StdRng::seed_from_u64(gel_bench::BENCH_SEED);
+    for n in [50usize, 200] {
+        let g = erdos_renyi(n, 10.0 / n as f64, &mut rng);
+        for agg in [GnnAgg::Sum, GnnAgg::Mean, GnnAgg::Max] {
+            let mut model = VertexModel::gnn101(1, 32, 3, 4, agg, &mut rng);
+            let secs = min_secs_per_iter(1, iters, || {
+                model.zero_grads();
+                let y = model.forward(&g);
+                model.backward(&g, &Matrix::filled(y.rows(), y.cols(), 1.0));
+            });
+            println!(
+                "{:<40} {:>9.2} µs",
+                format!("vertex_model_fwd_bwd {agg:?} (n={n})"),
+                secs * 1e6
+            );
+        }
+    }
 }
 
 /// Steady-state allocation counter across a `Dense` training step;
@@ -188,6 +186,7 @@ fn main() {
     let iters = if smoke { 5 } else { 200 };
 
     bench_mlp(iters);
+    bench_aggregators(iters);
     // The batched-vs-per-graph comparison runs pinned to four threads —
     // the configuration the batching claim is made for — so the number
     // is comparable across machines and the smoke assertion below is

@@ -1,7 +1,9 @@
 //! WL-family benchmarks: colour refinement and k-WL (k ∈ {2, 3}) on
 //! the hard corpus behind E8/E9 — the CFI(K4) pair and the
 //! srg(16,6,2,2) pair (Shrikhande vs 4×4 rook) — timing the
-//! arena-backed refinement engine end to end.
+//! arena-backed refinement engine end to end, folklore against
+//! oblivious 2-WL (the DESIGN.md §6 ablation), and the homomorphism
+//! counts behind E2/E13 (tree profiles and FAQ variable elimination).
 //!
 //! Run with `cargo bench -p gel-bench --bench wl [-- --smoke]`.
 //! `--smoke` shrinks the iteration counts for CI and *asserts* the
@@ -14,24 +16,23 @@
 //! must also move `wl.scratch.init_allocs` above zero, so a counter
 //! that silently reads zero fails the gate instead of passing it.
 
-use std::time::Instant;
+use std::hint::black_box;
 
+use gel_experiments::bench::min_secs_per_iter;
 use gel_graph::cfi::cfi_pair_k4;
-use gel_graph::families::{path, srg_16_6_2_2_pair};
+use gel_graph::families::{complete, cycle, path, petersen, srg_16_6_2_2_pair};
+use gel_graph::random::erdos_renyi;
+use gel_hom::{free_trees_up_to, hom_count, hom_tree, tree_hom_vector};
 use gel_wl::{color_refinement, k_wl, CrOptions, WlVariant, SCRATCH_ALLOCS, SCRATCH_INIT_ALLOCS};
-
-fn secs_per_iter(iters: u32, mut f: impl FnMut()) -> f64 {
-    // One untimed warm-up call so first-run costs stay out of the mean.
-    f();
-    let t = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    t.elapsed().as_secs_f64() / f64::from(iters)
-}
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn report(name: &str, secs: f64, rounds: usize) {
     println!("{name:<36} {:>10.2} µs/iter   ({rounds} rounds to stability)", secs * 1e6);
+}
+
+fn report_hom(name: &str, secs: f64) {
+    println!("{name:<36} {:>10.2} µs/iter", secs * 1e6);
 }
 
 /// Tracked-scratch growth across `f`: `(first-use sizing, regrowth)`.
@@ -52,7 +53,7 @@ fn main() {
     let cr = color_refinement(&[&cfi_g, &cfi_h], CrOptions::default());
     report(
         "cr_cfi_k4",
-        secs_per_iter(iters, || {
+        min_secs_per_iter(1, iters, || {
             let _ = color_refinement(&[&cfi_g, &cfi_h], CrOptions::default());
         }),
         cr.rounds,
@@ -60,7 +61,7 @@ fn main() {
     let cr = color_refinement(&[&srg_s, &srg_r], CrOptions::default());
     report(
         "cr_srg16",
-        secs_per_iter(iters, || {
+        min_secs_per_iter(1, iters, || {
             let _ = color_refinement(&[&srg_s, &srg_r], CrOptions::default());
         }),
         cr.rounds,
@@ -76,10 +77,46 @@ fn main() {
         let c = k_wl(&[g, h], k, variant, None);
         report(
             name,
-            secs_per_iter(if heavy { heavy_iters } else { iters }, || {
+            min_secs_per_iter(1, if heavy { heavy_iters } else { iters }, || {
                 let _ = k_wl(&[g, h], k, variant, None);
             }),
             c.rounds,
+        );
+    }
+
+    // Homomorphism counts, the other side of E2's characterization
+    // (CR-equivalence ⇔ equal tree-hom counts): the 48-tree profile,
+    // the tree DP as the graph grows, and FAQ variable elimination on
+    // patterns of growing induced width.
+    let trees = free_trees_up_to(8); // 1+1+1+2+3+6+11+23 = 48 trees
+    let g = erdos_renyi(60, 0.1, &mut StdRng::seed_from_u64(gel_bench::BENCH_SEED));
+    report_hom(
+        "hom_tree_profile_48trees_n60",
+        min_secs_per_iter(1, iters, || {
+            black_box(tree_hom_vector(&trees, &g));
+        }),
+    );
+    let p7 = path(7);
+    for n in [50usize, 100, 200] {
+        let g = erdos_renyi(n, 8.0 / n as f64, &mut StdRng::seed_from_u64(1));
+        report_hom(
+            &format!("hom_tree_path7_n{n}"),
+            min_secs_per_iter(1, iters, || {
+                black_box(hom_tree(&p7, &g));
+            }),
+        );
+    }
+    let pet = petersen();
+    for (name, pattern) in [
+        ("faq_hom_petersen_c4", cycle(4)),
+        ("faq_hom_petersen_c6", cycle(6)),
+        ("faq_hom_petersen_k4", complete(4)),
+    ] {
+        report_hom(
+            name,
+            min_secs_per_iter(1, iters, || {
+                black_box(hom_count(&pattern, &pet));
+            }),
         );
     }
 

@@ -29,16 +29,13 @@ pub struct EvalOptions {
     /// Use the neighbour-list fast path for edge-guarded single-variable
     /// aggregations (default true).
     pub guard_fast_path: bool,
-    /// Allow sparse (coordinate-list) node representations and the
-    /// variable-elimination sum kernel in the compiled engine (default
-    /// true). `false` forces the pure dense PR-5 engine — the ablation
-    /// baseline for the bench density sweep.
-    pub sparse: bool,
     /// Minimum dense cell count before a node is considered for a
     /// sparse representation (default 4096): below it the dense kernels
     /// win on constant factors, and the estimated nonzeros must also be
     /// at most a quarter of the cells. `0` forces sparse everywhere it
-    /// is representable — the property-test and ablation hook.
+    /// is representable — the property-test and ablation hook;
+    /// `usize::MAX` turns sparse lowering off (the pure dense engine,
+    /// the density sweep's baseline).
     pub sparse_min_cells: usize,
     /// Use the worst-case-optimal multiway join ([`Kind::JoinWco`])
     /// for *cyclic* sum-product queries (default true). `false` keeps
@@ -60,13 +57,7 @@ pub struct EvalOptions {
 
 impl Default for EvalOptions {
     fn default() -> Self {
-        Self {
-            guard_fast_path: true,
-            sparse: true,
-            sparse_min_cells: 4096,
-            wco: true,
-            sparse_output: false,
-        }
+        Self { guard_fast_path: true, sparse_min_cells: 4096, wco: true, sparse_output: false }
     }
 }
 

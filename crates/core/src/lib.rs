@@ -70,7 +70,7 @@ pub use analysis::{analyze, is_mpnn, ExpressivenessReport, Fragment, WlBound};
 pub use ast::{build, CmpOp, Expr, TypeError};
 pub use eval::{check_against_graph, eval, eval_with, try_eval, EvalError, EvalOptions};
 pub use func::{Agg, Func};
-pub use parser::{parse, ParseError};
+pub use parser::{parse, ParseError, MAX_EXPR_DEPTH};
 pub use plan::{
     eval_dense_fallbacks, eval_plan_builds, eval_slab_allocs, eval_sparse_nnz, eval_wco_seeks,
     expr_dag_hash, EvalEngine, PlanTooDense,

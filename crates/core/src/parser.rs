@@ -31,6 +31,12 @@ use crate::ast::{build, CmpOp, Expr};
 use crate::func::{Agg, Func};
 use crate::table::Var;
 
+/// Deepest accepted expression nesting (the root is depth 0), shared
+/// by this parser and gel-serve's binary decoder: it bounds their
+/// recursion, so crafted input is refused with an error instead of
+/// overflowing the stack.
+pub const MAX_EXPR_DEPTH: usize = 512;
+
 /// A parse error with byte position and message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -49,9 +55,10 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// Parses a `GEL(Ω,Θ)` expression; the result is validated
-/// ([`Expr::validate`]) before being returned.
+/// ([`Expr::validate`]) before being returned. Nesting deeper than
+/// [`MAX_EXPR_DEPTH`] is a parse error.
 pub fn parse(input: &str) -> Result<Expr, ParseError> {
-    let mut p = Parser { s: input.as_bytes(), pos: 0 };
+    let mut p = Parser { s: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let e = p.expr()?;
     p.skip_ws();
@@ -65,6 +72,8 @@ pub fn parse(input: &str) -> Result<Expr, ParseError> {
 struct Parser<'a> {
     s: &'a [u8],
     pos: usize,
+    /// Nesting depth of the expression being parsed.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -180,6 +189,16 @@ impl Parser<'_> {
     }
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
+        if self.depth > MAX_EXPR_DEPTH {
+            return Err(self.err(&format!("expression nested deeper than {MAX_EXPR_DEPTH}")));
+        }
+        self.depth += 1;
+        let e = self.expr_body();
+        self.depth -= 1;
+        e
+    }
+
+    fn expr_body(&mut self) -> Result<Expr, ParseError> {
         self.skip_ws();
         // 1[...] equality atom.
         if self.peek() == Some(b'1') && self.s.get(self.pos + 1) == Some(&b'[') {
@@ -391,6 +410,24 @@ mod tests {
     #[test]
     fn rejects_zero_variable() {
         assert!(parse("lab0(x0)").is_err());
+    }
+
+    /// About 6000 nested aggregations (~60 KB) overflow a 2 MiB stack —
+    /// what gel-serve gives each connection thread — without the depth
+    /// cap; with it they are a parse error. A nest at the cap parses.
+    #[test]
+    fn nesting_past_the_depth_cap_is_an_error() {
+        let nest = |d: usize| format!("{}lab0(x1){}", "sum_{x1}(".repeat(d), ")".repeat(d));
+        let text = nest(6000);
+        let res = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&text).map(|_| ()))
+            .unwrap()
+            .join()
+            .expect("parser overflowed its stack");
+        assert!(res.unwrap_err().msg.contains("deeper than"));
+        assert!(parse(&nest(MAX_EXPR_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_EXPR_DEPTH + 1)).is_err());
     }
 
     #[test]

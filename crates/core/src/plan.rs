@@ -462,9 +462,9 @@ struct ExecScratch {
 
 /// Plan-cache identity: the expression's DAG hash, the graph shape
 /// (`n`, `label_dim`), and every lowering-relevant [`EvalOptions`]
-/// field (`guard_fast_path`, `sparse`, `sparse_min_cells`, `wco`,
+/// field (`guard_fast_path`, `sparse_min_cells`, `wco`,
 /// `sparse_output`) — a cached plan is reusable only when all match.
-type PlanCacheKey = (u64, usize, usize, bool, bool, usize, bool, bool);
+type PlanCacheKey = (u64, usize, usize, bool, usize, bool, bool);
 
 /// The compiled evaluation engine. Owns the lowered plan, every
 /// intermediate slab, and the output table; repeated [`Self::eval`]
@@ -656,7 +656,6 @@ impl EvalEngine {
             g.num_vertices(),
             g.label_dim(),
             self.opts.guard_fast_path,
-            self.opts.sparse,
             self.opts.sparse_min_cells,
             self.opts.wco,
             self.opts.sparse_output,
@@ -818,7 +817,7 @@ impl EvalEngine {
             // Sparse product: a scalar Mul with sparse operands stays
             // sparse — the cheapest sparse operand to expand drives,
             // the rest are probed (dense gather or binary search).
-            if matches!(func, Func::Mul { dim: 1, .. }) && self.opts.sparse {
+            if matches!(func, Func::Mul { dim: 1, .. }) {
                 let cells = self.n.checked_pow(vars.len() as u32).expect("table too large");
                 // Driver choice: cheapest expansion bound, which for a
                 // fixed output scope is the same ordering as lowest
@@ -1069,7 +1068,7 @@ impl EvalEngine {
         // indicators is a sum-product query — contract the aggregated
         // variables in min-degree order over sparse factors instead of
         // sweeping the dense `n^k` cross product (paper slide 70).
-        if self.opts.sparse && agg == Agg::Sum && !over.is_empty() {
+        if agg == Agg::Sum && !over.is_empty() {
             let mut atoms: Vec<&Expr> = Vec::new();
             let seen = &mut HashMap::new();
             let ok = collect_indicator_atoms(value, &mut atoms, seen)
@@ -1359,9 +1358,8 @@ impl EvalEngine {
     /// bound pessimistically kept them dense. `sparse_min_cells == 0`
     /// forces sparse wherever representable — the property-test hook.
     fn sparse_ok(&self, cells: usize, est: usize) -> bool {
-        self.opts.sparse
-            && (self.opts.sparse_min_cells == 0
-                || (cells >= self.opts.sparse_min_cells && est.saturating_mul(4) <= cells))
+        self.opts.sparse_min_cells == 0
+            || (cells >= self.opts.sparse_min_cells && est.saturating_mul(4) <= cells)
     }
 
     /// `est_nnz / cells` for a node, clamped to `[0, 1]` (scalar
@@ -2481,12 +2479,7 @@ mod tests {
     /// Forced-sparse options: every representable node goes through the
     /// coordinate-list kernels regardless of size.
     fn forced_sparse(fast: bool) -> EvalOptions {
-        EvalOptions {
-            guard_fast_path: fast,
-            sparse: true,
-            sparse_min_cells: 0,
-            ..EvalOptions::default()
-        }
+        EvalOptions { guard_fast_path: fast, sparse_min_cells: 0, ..EvalOptions::default() }
     }
 
     /// Forced-sparse evaluation must be *equal* to both the oracle and
@@ -2497,7 +2490,7 @@ mod tests {
         let want = oracle_eval_with(e, g, opts);
         let mut dense = EvalEngine::with_options(EvalOptions {
             guard_fast_path: fast,
-            sparse: false,
+            sparse_min_cells: usize::MAX,
             ..EvalOptions::default()
         });
         assert_eq!(dense.eval(e, g), &want, "dense engine diverged on {e}");
@@ -2567,8 +2560,10 @@ mod tests {
         assert_eq!(eng.eval(&e, &g).value(), &[0.0]);
         // 3 edge atoms + 1 AggElim node; the dense plan needs 5.
         assert_eq!(eng.plan_nodes(), 4);
-        let mut dense =
-            EvalEngine::with_options(EvalOptions { sparse: false, ..EvalOptions::default() });
+        let mut dense = EvalEngine::with_options(EvalOptions {
+            sparse_min_cells: usize::MAX,
+            ..EvalOptions::default()
+        });
         dense.eval(&e, &g);
         assert_eq!(dense.plan_nodes(), 5);
     }
@@ -2809,8 +2804,10 @@ mod tests {
         // Cached-plan revalidation: a cap of 0 still admits (no dense
         // slabs), and the dense engine is rejected up front.
         assert!(eng.try_eval_capped(&e, &g, 0).is_ok());
-        let mut dense_eng =
-            EvalEngine::with_options(EvalOptions { sparse: false, ..EvalOptions::default() });
+        let mut dense_eng = EvalEngine::with_options(EvalOptions {
+            sparse_min_cells: usize::MAX,
+            ..EvalOptions::default()
+        });
         let err = dense_eng.try_eval_capped(&e, &g, 64).unwrap_err();
         assert!(err.len > 64, "error must carry the offending slab length");
         // The engine recovers: an uncapped call evaluates normally.

@@ -43,6 +43,7 @@
 
 use std::time::Instant;
 
+use gel_experiments::bench::{self, min_secs_per_iter};
 use gel_experiments::report::json_escape;
 
 /// Fixed-key per-experiment metrics object for the bench JSON, from one
@@ -122,29 +123,14 @@ fn hot_path_bench() -> (f64, f64, f64) {
     }
     let allocs_per_step = (gel_tensor::BUFFER_ALLOCS.get() - base) as f64 / f64::from(steps);
 
-    // Batched vs per-graph wall clock on the same workload. Each side
-    // is timed as the minimum over several rounds (fresh model and
-    // optimizer per round, first round discarded as warm-up): a single
-    // timed shot is at the mercy of one scheduler hiccup, which is
-    // exactly what produced the spurious `batched_speedup < 1` readings
-    // this key used to show.
-    let rounds = 4;
-    let mut unbatched_s = f64::INFINITY;
-    for round in 0..=rounds {
-        let mut m = model(0xB2);
-        let mut opt = Adam::new(0.01);
-        let t = Instant::now();
+    // Batched vs per-graph wall clock on the same workload, each as the
+    // minimum over 4 rounds, every round training a fresh model.
+    let unbatched_s = min_secs_per_iter(4, 1, || {
+        let (mut m, mut opt) = (model(0xB2), Adam::new(0.01));
         let _ = train_graph_model(&mut m, &data, Loss::BceWithLogits, &mut opt, epochs);
-        if round > 0 {
-            unbatched_s = unbatched_s.min(t.elapsed().as_secs_f64());
-        }
-    }
-
-    let mut batched_s = f64::INFINITY;
-    for round in 0..=rounds {
-        let mut m = model(0xB2);
-        let mut opt = Adam::new(0.01);
-        let t = Instant::now();
+    });
+    let batched_s = min_secs_per_iter(4, 1, || {
+        let (mut m, mut opt) = (model(0xB2), Adam::new(0.01));
         let _ = gel_gnn::train_graph_model_batched(
             &mut m,
             &batch,
@@ -153,315 +139,114 @@ fn hot_path_bench() -> (f64, f64, f64) {
             &mut opt,
             epochs,
         );
-        if round > 0 {
-            batched_s = batched_s.min(t.elapsed().as_secs_f64());
-        }
-    }
+    });
 
     (allocs_per_step, unbatched_s, batched_s)
 }
 
-/// One timed configuration, as the minimum over `rounds` rounds of
-/// `iters` evaluations each (first round discarded as warm-up, same
-/// rationale as `hot_path_bench`).
-fn min_secs_per_iter(rounds: u32, iters: u32, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for round in 0..=rounds {
-        let t = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        if round > 0 {
-            best = best.min(t.elapsed().as_secs_f64() / f64::from(iters));
-        }
-    }
-    best
-}
-
-/// Table-density sweep (DESIGN.md §7): the GEL₃ triangle probe
-/// `Σ_{x1,x2,x3} E(x1,x2)·E(x2,x3)·E(x1,x3)` on an n × edge-density
-/// grid, dense engine vs forced-sparse elimination, each as
-/// min-over-rounds. Returns the `density_sweep` JSON object: one row
-/// per grid point plus the per-density crossover size (the first swept
-/// n where sparse beats dense; `null` when dense stays ahead).
-///
-/// Runs pinned to one thread (the caller pins, and the object records
-/// it as `"threads": 1`): the sparse kernels are serial by design, so
-/// this compares the representations rather than thread scaling.
+/// The `density_sweep` object: [`bench::density_sweep`] on the full
+/// grid, one row per grid point plus the per-density crossover size
+/// (`null` when dense stays ahead). The caller pins one thread.
 fn density_sweep_json() -> String {
-    use gel_graph::random::erdos_renyi;
-    use gel_lang::ast::build;
-    use gel_lang::{Agg, EvalEngine, EvalOptions, Func};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let probe = build::agg_over(
-        Agg::Sum,
-        vec![1, 2, 3],
-        build::apply(
-            Func::Mul { arity: 3, dim: 1 },
-            vec![build::edge(1, 2), build::edge(2, 3), build::edge(1, 3)],
-        ),
-        None,
-    );
-
-    let sizes: [usize; 4] = [16, 32, 48, 64];
-    let densities: [f64; 3] = [0.02, 0.1, 0.3];
-    let mut rows = String::new();
-    let mut crossovers = String::new();
-    for (di, &p) in densities.iter().enumerate() {
-        let mut crossover: Option<usize> = None;
-        for (si, &n) in sizes.iter().enumerate() {
-            let mut grng = StdRng::seed_from_u64(0x5EED ^ n as u64);
-            let g = erdos_renyi(n, p, &mut grng);
-            let mut dense_eng =
-                EvalEngine::with_options(EvalOptions { sparse: false, ..EvalOptions::default() });
-            let dense_s = min_secs_per_iter(3, 8, || {
-                let _ = dense_eng.eval(&probe, &g);
-            });
-            let mut sparse_eng = EvalEngine::with_options(EvalOptions {
-                sparse_min_cells: 0,
-                ..EvalOptions::default()
-            });
-            let sparse_s = min_secs_per_iter(3, 8, || {
-                let _ = sparse_eng.eval(&probe, &g);
-            });
-            if crossover.is_none() && sparse_s < dense_s {
-                crossover = Some(n);
-            }
-            rows.push_str(&format!(
-                "      {{\"n\": {n}, \"density\": {p}, \"dense_s\": {dense_s:.9}, \
-                 \"sparse_s\": {sparse_s:.9}, \"speedup\": {:.3}}}{}\n",
-                dense_s / sparse_s.max(1e-12),
-                if di + 1 < densities.len() || si + 1 < sizes.len() { "," } else { "" },
-            ));
-        }
-        crossovers.push_str(&format!(
-            "      {{\"density\": {p}, \"crossover_n\": {}}}{}\n",
-            crossover.map_or_else(|| "null".to_string(), |n| n.to_string()),
-            if di + 1 < densities.len() { "," } else { "" },
-        ));
-    }
+    let sweep = bench::density_sweep(&[16, 32, 48, 64], &[0.02, 0.1, 0.3], 3, 8);
+    let rows: Vec<String> = sweep
+        .rows
+        .iter()
+        .map(|r| {
+            format!(
+                "      {{\"n\": {}, \"density\": {}, \"dense_s\": {:.9}, \
+                 \"sparse_s\": {:.9}, \"speedup\": {:.3}}}",
+                r.n,
+                r.density,
+                r.dense_s,
+                r.sparse_s,
+                r.speedup(),
+            )
+        })
+        .collect();
+    let crossovers: Vec<String> = sweep
+        .crossover
+        .iter()
+        .map(|(p, n)| {
+            format!(
+                "      {{\"density\": {p}, \"crossover_n\": {}}}",
+                n.map_or_else(|| "null".to_string(), |n| n.to_string()),
+            )
+        })
+        .collect();
     format!(
-        "{{\"threads\": 1, \"probe\": \"triangle_gel3\",\n    \"rows\": [\n{rows}    ],\n    \
-         \"crossover\": [\n{crossovers}    ]}}"
+        "{{\"threads\": 1, \"probe\": \"triangle_gel3\",\n    \"rows\": [\n{}\n    ],\n    \
+         \"crossover\": [\n{}\n    ]}}",
+        rows.join(",\n"),
+        crossovers.join(",\n"),
     )
 }
 
-/// Inner-kernel microbench for the bench JSON (`"kernels"` object):
-/// the blocked SIMD matmul vs the PR 6 ikj oracle (GFLOP/s and the
-/// `simd_speedup` ratio, same measurement as `--bench kernels`) and
-/// the fused CSR gather vs the per-neighbour axpy loop. Runs pinned to
-/// one thread (the caller pins): these compare kernel codegen, not
-/// thread scaling.
+/// The `kernels` object: [`bench::matmul`] at 128³ and
+/// [`bench::gather`] on a 2048-vertex graph. The caller pins one
+/// thread: these compare kernel codegen, not thread scaling.
 fn kernels_json() -> String {
-    use gel_graph::random::erdos_renyi;
-    use gel_tensor::{kernels, Matrix};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let n = 128usize;
-    let a = Matrix::from_fn(n, n, |i, j| ((i * 31 + j * 17) % 61) as f64 * 0.25 - 7.0);
-    let b = Matrix::from_fn(n, n, |i, j| ((i * 13 + j * 41) % 53) as f64 * 0.125 - 3.0);
-    let mut out = Matrix::zeros(n, n);
-    let blocked_s = min_secs_per_iter(3, 16, || a.matmul_into(&b, &mut out));
-    let oracle_s = min_secs_per_iter(3, 16, || kernels::matmul_ikj_into(&a, &b, &mut out));
-    let flops = 2.0 * (n * n * n) as f64;
-
-    let (gn, cols, deg) = (2048usize, 32usize, 8.0);
-    let mut grng = StdRng::seed_from_u64(0xBE7C);
-    let g = erdos_renyi(gn, deg / gn as f64, &mut grng);
-    let x = Matrix::from_fn(gn, cols, |i, j| ((i * 7 + j) % 97) as f64 * 0.03 - 1.4);
-    let mut fused = Matrix::zeros(gn, cols);
-    let fused_s = min_secs_per_iter(3, 16, || gel_gnn::agg::sum_forward_into(&g, &x, &mut fused));
-    let mut naive = Matrix::zeros(gn, cols);
-    let naive_s = min_secs_per_iter(3, 16, || {
-        for v in g.vertices() {
-            let row = naive.row_mut(v as usize);
-            row.fill(0.0);
-            for &u in g.out_neighbors(v) {
-                for (o, &xv) in row.iter_mut().zip(x.row(u as usize)) {
-                    *o += xv;
-                }
-            }
-        }
-    });
-    assert_eq!(fused, naive, "fused gather must stay bit-identical to the axpy loop");
-
+    let mm = bench::matmul(128, 3, 16);
+    let gather = bench::gather(2048, 8.0, 32, 3, 16);
     format!(
-        "{{\"threads\": 1, \"matmul_n\": {n}, \"blocked_gflops\": {:.3}, \
+        "{{\"threads\": 1, \"matmul_n\": {}, \"blocked_gflops\": {:.3}, \
          \"oracle_gflops\": {:.3}, \"simd_speedup\": {:.3}, \"gather_fused_s\": {:.9}, \
          \"gather_naive_s\": {:.9}, \"gather_speedup\": {:.3}}}",
-        flops / blocked_s.max(1e-12) / 1e9,
-        flops / oracle_s.max(1e-12) / 1e9,
-        oracle_s / blocked_s.max(1e-12),
-        fused_s,
-        naive_s,
-        naive_s / fused_s.max(1e-12),
+        mm.n,
+        mm.blocked_gflops(),
+        mm.oracle_gflops(),
+        mm.simd_speedup(),
+        gather.fused_s,
+        gather.naive_s,
+        gather.speedup(),
     )
 }
 
-/// Worst-case-optimal join bench for the bench JSON (`"wco"` object):
-/// the `--bench eval` wco sweep — cyclic GEL₄ probes through the
-/// generic (leapfrog) join kernel vs the binary merge-join plan
-/// (`wco: false` ablation), both forced sparse. The Erdős–Rényi points
-/// are the unskewed baseline where both plans are output-bound and the
-/// ratio hovers near 1×; the hub instance is the structural case the
-/// kernel exists for (binary elimination materializes the mids×leaves
-/// wedge table no matter how few cycles close), recorded separately as
-/// `hub_speedup`. Also records the kernel's join/seek counters over
-/// the sweep. Runs pinned to one thread (the caller
-/// pins): the sparse kernels are serial by design.
+/// The `wco` object: [`bench::wco_sweep`], its hub point's speedup
+/// and the kernel's join/seek counters over the sweep. The caller pins
+/// one thread.
 fn wco_json() -> String {
-    use gel_graph::random::erdos_renyi;
-    use gel_lang::ast::build;
-    use gel_lang::{Agg, EvalEngine, EvalOptions, Expr, Func};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let cyclic = |atoms: Vec<Expr>| {
-        let arity = atoms.len();
-        build::agg_over(
-            Agg::Sum,
-            vec![1, 2, 3, 4],
-            build::apply(Func::Mul { arity, dim: 1 }, atoms),
-            None,
-        )
-    };
-    let cycle4 =
-        cyclic(vec![build::edge(1, 2), build::edge(2, 3), build::edge(3, 4), build::edge(1, 4)]);
-    let clique4 = cyclic(vec![
-        build::edge(1, 2),
-        build::edge(1, 3),
-        build::edge(1, 4),
-        build::edge(2, 3),
-        build::edge(2, 4),
-        build::edge(3, 4),
-    ]);
-
-    // The skewed gate instance of `--bench eval`: vertex 0 fans into a
-    // mid block, every mid fans into a shared leaf block, and a few
-    // leaves close back into a few mids.
-    let hub = {
-        let n = 64usize;
-        let mids = 1u32..=(n as u32 / 3);
-        let leaves = (n as u32 / 3 + 1)..=(n as u32 - 2);
-        let mut b = gel_graph::GraphBuilder::new(n);
-        for m in mids.clone() {
-            b.add_arc(0, m);
-            for l in leaves.clone() {
-                b.add_arc(m, l);
-            }
-        }
-        for (i, l) in leaves.enumerate() {
-            if i % 20 == 0 {
-                for m in mids.clone().step_by(11) {
-                    b.add_arc(l, m);
-                }
-            }
-        }
-        b.build()
-    };
-
-    let time_pair = |probe: &Expr, gs: &gel_graph::Graph| {
-        let mut wco_eng =
-            EvalEngine::with_options(EvalOptions { sparse_min_cells: 0, ..EvalOptions::default() });
-        let wco_s = min_secs_per_iter(3, 8, || {
-            let _ = wco_eng.eval(probe, gs);
-        });
-        let mut binary_eng = EvalEngine::with_options(EvalOptions {
-            sparse_min_cells: 0,
-            wco: false,
-            ..EvalOptions::default()
-        });
-        let binary_s = min_secs_per_iter(3, 8, || {
-            let _ = binary_eng.eval(probe, gs);
-        });
-        (wco_s, binary_s)
-    };
-
-    let before = gel_obs::snapshot();
-    let mut rows = String::new();
-    for (pname, probe) in [("cycle4", &cycle4), ("clique4", &clique4)] {
-        for n in [32usize, 64] {
-            let mut grng = StdRng::seed_from_u64(0x5EED ^ n as u64);
-            let gs = erdos_renyi(n, 0.02, &mut grng);
-            let (wco_s, binary_s) = time_pair(probe, &gs);
-            rows.push_str(&format!(
-                "      {{\"probe\": \"{pname}\", \"graph\": \"er\", \"n\": {n}, \
-                 \"binary_s\": {binary_s:.9}, \"wco_s\": {wco_s:.9}, \"speedup\": {:.3}}},\n",
-                binary_s / wco_s.max(1e-12),
-            ));
-        }
-    }
-    let (hub_wco_s, hub_binary_s) = time_pair(&cycle4, &hub);
-    let hub_speedup = hub_binary_s / hub_wco_s.max(1e-12);
-    rows.push_str(&format!(
-        "      {{\"probe\": \"cycle4\", \"graph\": \"hub\", \"n\": 64, \
-         \"binary_s\": {hub_binary_s:.9}, \"wco_s\": {hub_wco_s:.9}, \
-         \"speedup\": {hub_speedup:.3}}}\n",
-    ));
-    let sweep = gel_obs::snapshot().since(&before);
-    let joins = sweep.counter("eval.wco.joins");
-    let seeks = sweep.counter("eval.wco.seeks");
+    let sweep = bench::wco_sweep(3, 8);
+    let rows: Vec<String> = sweep
+        .rows
+        .iter()
+        .map(|r| {
+            format!(
+                "      {{\"probe\": \"{}\", \"graph\": \"{}\", \"n\": {}, \
+                 \"binary_s\": {:.9}, \"wco_s\": {:.9}, \"speedup\": {:.3}}}",
+                r.probe,
+                r.graph,
+                r.n,
+                r.binary_s,
+                r.wco_s,
+                r.speedup(),
+            )
+        })
+        .collect();
     format!(
-        "{{\"threads\": 1,\n    \"rows\": [\n{rows}    ],\n    \
-         \"hub_speedup\": {hub_speedup:.3}, \"wco_joins\": {joins}, \"wco_seeks\": {seeks}}}"
+        "{{\"threads\": 1,\n    \"rows\": [\n{}\n    ],\n    \
+         \"hub_speedup\": {:.3}, \"wco_joins\": {}, \"wco_seeks\": {}}}",
+        rows.join(",\n"),
+        sweep.hub_speedup(),
+        sweep.joins,
+        sweep.seeks,
     )
 }
 
-/// Serving-layer bench for the bench JSON (`"serve"` object): the
-/// `gel-serve` loopback load scenario of `--bench serve` — 8
-/// concurrent clients round-robining the E4/E9 expression set against
-/// one server, cold, warm, then the same warm workload shipped as
-/// `EvalBatch` frames. Reports latency quantiles, throughput, and
-/// plan-cache behaviour; asserts neither the warm nor the batched
-/// phase re-lowers anything (the same gates as the bench's `--smoke`
-/// mode).
+/// The `serve` object: [`bench::serve_load`] at 16 requests per
+/// client — latency quantiles, throughput and plan-cache counters.
 fn serve_json() -> String {
-    use gel_graph::random::{erdos_renyi, with_random_real_labels};
-    use gel_lang::wl_sim::{cr_graph_expr, k_wl_graph_expr};
-    use gel_serve::{run_load, run_load_batched, LoadConfig, ServeOptions, Server};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let clients = 8usize;
-    let label_dim = 2usize;
-    let mut rng = StdRng::seed_from_u64(0xBE5E);
-    let g = erdos_renyi(24, 0.2, &mut rng);
-    let g = with_random_real_labels(&g, label_dim, &mut rng);
-    let exprs = vec![cr_graph_expr(label_dim, 6), k_wl_graph_expr(2, label_dim, 2)];
-
-    let server = Server::bind(ServeOptions {
-        max_inflight: clients,
-        plan_cache_cap: 16,
-        ..ServeOptions::default()
-    })
-    .expect("bind loopback");
-    server.register_graph("bench", g).expect("register");
-    let cfg = LoadConfig { clients, requests_per_client: 16, graph: "bench", exprs: &exprs };
-
-    let cold = run_load(&server, &cfg).expect("cold serve load");
-    let warm = run_load(&server, &cfg).expect("warm serve load");
-    assert_eq!(
-        cold.plan_builds,
-        exprs.len() as u64,
-        "cold serve phase must lower one plan per expression"
-    );
-    assert_eq!(warm.plan_builds, 0, "warm serve phase must not re-lower plans");
-    let batched = run_load_batched(&server, &cfg, exprs.len()).expect("batched serve load");
-    assert_eq!(batched.plan_builds, 0, "batched serve phase must not re-lower plans");
-    let stats = server.stats();
-    server.shutdown();
-
+    let s = bench::serve_load(16);
+    let (cold, warm, batched) = (&s.cold, &s.warm, &s.batched);
     format!(
-        "{{\"clients\": {clients}, \"requests\": {}, \
+        "{{\"clients\": {}, \"requests\": {}, \
          \"cold_p50_us\": {:.1}, \"cold_p99_us\": {:.1}, \"cold_rps\": {:.1}, \
          \"warm_p50_us\": {:.1}, \"warm_p99_us\": {:.1}, \"warm_rps\": {:.1}, \
          \"warm_hit_rate\": {:.4}, \"warm_plan_builds\": {}, \
          \"batched_p50_us\": {:.1}, \"batched_p99_us\": {:.1}, \"batched_rps\": {:.1}, \
          \"batched_plan_builds\": {}, \
          \"cache_hits\": {}, \"cache_misses\": {}, \"cache_evictions\": {}, \"plans\": {}}}",
+        s.clients,
         cold.requests + warm.requests + batched.requests,
         cold.p50_us,
         cold.p99_us,
@@ -475,92 +260,32 @@ fn serve_json() -> String {
         batched.p99_us,
         batched.throughput_rps,
         batched.plan_builds,
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.evictions,
-        stats.plans,
+        s.stats.cache_hits,
+        s.stats.cache_misses,
+        s.stats.evictions,
+        s.stats.plans,
     )
 }
 
-/// Store-substrate bench for the bench JSON (`"ingest"` object): the
-/// same measurement as `--bench ingest` at reduced scale — stream an
-/// R-MAT edge set through the write-ahead log into an out-of-core CSR
-/// segment (edges/s, peak ingest buffer vs budget), then compare the
-/// incremental colour-refinement engine's single-edge repair against a
-/// from-scratch recolour of the same edited graph, asserting the
-/// partitions agree.
+/// The `ingest` object: [`bench::ingest`] at reduced scale (2^16
+/// vertices, 2^19 edges streamed, ~1M arcs).
 fn ingest_json() -> String {
-    use gel_graph::random::rmat_edges;
-    use gel_store::{IngestOptions, Store, Wal};
-    use gel_wl::IncrementalColoring;
-
-    let scale = 16u32; // 65 536 vertices
-    let edges: u64 = 1 << 19; // 524 288 edges streamed, ~1M arcs
-    let dir = std::env::temp_dir().join(format!("gel-ingest-json-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = Store::open(&dir).expect("open ingest store");
-    let wal_path = dir.join("rmat.wal");
-
-    let opts = IngestOptions::default();
-    let t = Instant::now();
-    let mut wal = Wal::create(&wal_path).expect("create wal");
-    wal.append_meta(1u64 << scale, 1).expect("append meta");
-    let mut batch = Vec::with_capacity(4096);
-    for (u, v) in rmat_edges(scale, edges, 0xD1CE) {
-        batch.push((u, v));
-        if batch.len() == 4096 {
-            wal.append_edges(&batch).expect("append edges");
-            batch.clear();
-        }
-    }
-    if !batch.is_empty() {
-        wal.append_edges(&batch).expect("append edges");
-    }
-    wal.commit().expect("commit wal");
-    let stats = store.ingest_wal("rmat", &wal_path, opts).expect("build segment");
-    let ingest_s = t.elapsed().as_secs_f64();
-
-    let g = store.open_graph("rmat").expect("open segment");
-    // Frontier edit: the two highest-id minimum-degree vertices — the
-    // streaming-append locality case the incremental index exists for
-    // (a hub edit genuinely recolours most of a skewed graph and falls
-    // back to a rebuild; `--bench ingest` reports that case).
-    let n32 = g.num_vertices() as u32;
-    let degrees: Vec<usize> = (0..n32).map(|v| g.out_degree(v)).collect();
-    let min_deg = *degrees.iter().min().expect("non-empty graph");
-    let mut frontier = (0..n32).rev().filter(|&v| degrees[v as usize] == min_deg);
-    let eu = frontier.next().expect("a min-degree vertex");
-    let ev = frontier
-        .find(|&v| !g.out_neighbors(eu).contains(&v))
-        .expect("two non-adjacent min-degree vertices");
-
-    // Full recolour of the edited graph, from scratch.
-    let mut edited = gel_graph::DynGraph::from_graph(&g);
-    edited.insert_edge(eu, ev);
-    let t = Instant::now();
-    let fresh = IncrementalColoring::from_dyn(edited);
-    let full_s = t.elapsed().as_secs_f64();
-
-    // Incremental: repair the stable trace after the same edit.
-    let mut incr = IncrementalColoring::new(&g);
-    let t = Instant::now();
-    incr.insert_edge(eu, ev);
-    let incr_s = t.elapsed().as_secs_f64();
-    let matches = incr.stable_coloring() == fresh.stable_coloring();
-    assert!(matches, "incremental recolour diverged from the from-scratch recolour");
-
-    let _ = std::fs::remove_dir_all(&dir);
+    let (scale, edges) = (16u32, 1u64 << 19);
+    let r = bench::ingest(scale, edges);
     format!(
-        "{{\"scale\": {scale}, \"edges\": {edges}, \"arcs\": {}, \"ingest_s\": {ingest_s:.6}, \
+        "{{\"scale\": {scale}, \"edges\": {edges}, \"arcs\": {}, \"ingest_s\": {:.6}, \
          \"edges_per_s\": {:.0}, \"passes\": {}, \"peak_buffer_bytes\": {}, \
-         \"chunk_budget_bytes\": {}, \"full_recolor_s\": {full_s:.6}, \
-         \"incr_recolor_s\": {incr_s:.9}, \"incr_speedup\": {:.1}, \"incr_matches_full\": {matches}}}",
-        stats.meta.num_arcs,
-        edges as f64 / ingest_s.max(1e-12),
-        stats.passes,
-        stats.peak_buffer_bytes,
-        opts.chunk_budget_bytes,
-        full_s / incr_s.max(1e-12),
+         \"chunk_budget_bytes\": {}, \"full_recolor_s\": {:.6}, \
+         \"incr_recolor_s\": {:.9}, \"incr_speedup\": {:.1}, \"incr_matches_full\": true}}",
+        r.stats.meta.num_arcs,
+        r.ingest_s,
+        r.edges_per_s(),
+        r.stats.passes,
+        r.stats.peak_buffer_bytes,
+        r.chunk_budget_bytes,
+        r.full_recolor_s,
+        r.incr_recolor_s,
+        r.incr_speedup(),
     )
 }
 

@@ -29,6 +29,7 @@
 
 #![warn(missing_docs)]
 
+pub mod bench;
 pub mod corpus;
 pub mod e01_gnn_vs_cr;
 pub mod e02_tree_homs;

@@ -9,6 +9,29 @@ use gel_graph::{families, BatchedGraphs, Graph};
 use gel_tensor::{Activation, Adam, Loss, Matrix, Optimizer, Parameterized, Scratch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{Mutex, MutexGuard};
+
+/// `BUFFER_ALLOCS` is process-global: the allocation test's delta only
+/// holds if no other test in this binary allocates meanwhile.
+static LOCK: Mutex<()> = Mutex::new(());
+
+/// Holds [`LOCK`] for one test. Counts wait in the calling thread's
+/// gel-obs shard until it flushes, and a test thread exits only after
+/// its guards drop, so the guard publishes them before it releases the
+/// lock: the next test's `before` reading then already includes them.
+struct Serial {
+    _lock: MutexGuard<'static, ()>,
+}
+
+impl Drop for Serial {
+    fn drop(&mut self) {
+        gel_obs::flush_thread();
+    }
+}
+
+fn serial() -> Serial {
+    Serial { _lock: LOCK.lock().unwrap_or_else(|e| e.into_inner()) }
+}
 
 /// A small corpus with mixed sizes and shapes (star, cycle, path,
 /// complete) so segment offsets are irregular.
@@ -41,6 +64,7 @@ fn models() -> Vec<(String, GraphModel)> {
 
 #[test]
 fn batched_forward_matches_per_graph_row_for_row() {
+    let _serial = serial();
     let graphs = corpus();
     let batch = BatchedGraphs::pack(&graphs);
     for threads in [1usize, 4] {
@@ -63,6 +87,7 @@ fn batched_forward_matches_per_graph_row_for_row() {
 
 #[test]
 fn batched_infer_matches_per_graph_row_for_row() {
+    let _serial = serial();
     let graphs = corpus();
     let batch = BatchedGraphs::pack(&graphs);
     let mut scratch = Scratch::new();
@@ -89,6 +114,7 @@ fn batched_infer_matches_per_graph_row_for_row() {
 /// and reused thereafter.
 #[test]
 fn batched_training_step_is_allocation_free_in_steady_state() {
+    let _serial = serial();
     let graphs = corpus();
     let batch = BatchedGraphs::pack(&graphs);
     let targets =

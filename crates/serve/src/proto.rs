@@ -70,8 +70,9 @@ pub const MAX_EXPR_NODES: usize = 1 << 17;
 pub const MAX_BATCH_EXPRS: usize = 256;
 
 /// Deepest accepted expression nesting — bounds decoder recursion so
-/// crafted input cannot overflow the stack.
-pub const MAX_EXPR_DEPTH: usize = 512;
+/// crafted input cannot overflow the stack. The text parser shares the
+/// cap, so [`Request::EvalText`] is bounded the same way.
+pub use gel_lang::MAX_EXPR_DEPTH;
 
 /// A malformed frame or payload. Decoding never panics and never
 /// reserves memory past the frame's real length; it reports one of

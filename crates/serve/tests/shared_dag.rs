@@ -4,7 +4,9 @@
 //! pre-flight, evaluation and analysis must all answer it, and its
 //! `Concat` and indicator-product variants, in time linear in the
 //! distinct nodes. The client socket has a read deadline, so a server
-//! that unfolds the DAG fails the test instead of hanging it.
+//! that unfolds the DAG fails the test instead of hanging it. Deeply
+//! nested expression *text* is the other bomb: the parser's depth cap
+//! must refuse it before it overflows a connection thread's stack.
 
 use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
@@ -18,7 +20,7 @@ use gel_serve::proto::{
     decode_request, decode_response, encode_request, read_frame, write_frame, ErrorCode, FrameRead,
     Request, Response, TableData, WireTable, MAX_FRAME_LEN,
 };
-use gel_serve::{ServeOptions, Server};
+use gel_serve::{Client, ClientError, ServeOptions, Server};
 
 const DEPTH: usize = 64;
 
@@ -135,5 +137,25 @@ fn doubling_dag_bomb_is_answered_in_linear_time() {
 
     let resp = conn.call(&Request::Ping);
     assert_eq!(resp, Response::Pong);
+    server.shutdown();
+}
+
+/// About 6000 nested aggregations: ~60 KB, inside `EvalText`'s 1 MiB
+/// cap, and deep enough to overflow a connection thread's 2 MiB stack —
+/// aborting the whole server — if the parser recursed without a cap.
+#[test]
+fn nested_text_is_refused_with_a_parse_error() {
+    let server = Server::bind(ServeOptions::default()).unwrap();
+    server.register_graph("one", GraphBuilder::new(1).build()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let text = format!("{}lab0(x1){}", "sum_{x1}(".repeat(6000), ")".repeat(6000));
+    match client.eval_text("one", &text) {
+        Err(ClientError::Server { code: ErrorCode::Parse, msg }) => {
+            assert!(msg.contains("deeper than"), "{msg}")
+        }
+        other => panic!("expected a Parse error, got {other:?}"),
+    }
+    let (_, _, _, data) = client.eval_text("one", "sum_{x1}(lab0(x1))").unwrap();
+    assert_eq!(data, vec![1.0]);
     server.shutdown();
 }
