@@ -26,9 +26,25 @@
 //!   colour just changed, *their* in/out-neighbours, and the edit
 //!   endpoints (whose adjacency changed at every round).
 //! * Each round keeps a persistent signature table (`digest → colour
-//!   id`, ids monotone, never reused). Candidates recompute their
-//!   digest against the patched previous round and look it up; only
-//!   vertices whose id actually changes propagate to the next round.
+//!   id`, ids never reused) and its inverse (`id → digest`).
+//!   Candidates recompute their digest against the patched previous
+//!   round; then each group of equal new digest takes the id filed
+//!   under it, or — when the digest is new and the group is all that
+//!   carries some id — keeps that id and re-files it under the new
+//!   digest (a *rename*), or else gets a fresh id (`Round::patch`).
+//!   Only vertices whose id actually changes propagate to the next
+//!   round.
+//!
+//! Renames are what keep repairs local. A digest hashes the
+//! neighbours' *ids*, so a propagated id change reaches every
+//! neighbour's next-round digest even when the class it names is
+//! unchanged as a set. Round `t+1`'s partition depends only on round
+//! `t`'s partition, not on its names: a singleton whose signature moved
+//! is still the same singleton, and renaming it in place stops the
+//! wave there. On an R-MAT graph of scale 19, each of 18 stream-edit
+//! repairs changed the class membership of at most 31 vertices per
+//! round (none after round 2), while propagating every id change
+//! touched 18k–233k vertices in each of rounds 3–5.
 //!
 //! By induction, the repaired round `t` induces exactly the partition
 //! a fresh run would compute — persistent ids just name the classes
@@ -46,16 +62,22 @@
 //!
 //! ## The global-cascade fallback
 //!
-//! Locality is a property of the *edit*, not the algorithm. On a
-//! skew-degree graph, an edit next to a hub genuinely recolours a
-//! constant fraction of the graph — the hub's round-`t` class changes,
-//! so every neighbour's round-`t+1` class changes, and two hops cover
-//! the graph. No repair scheme can beat that honestly, so when a
-//! round's changed set exceeds `n / 64` the worklist is abandoned and
-//! the trace rebuilt with the parallel fresh build ([`INCR_FALLBACKS`]
-//! counts these). Frontier edits — the streaming-append case the
-//! index exists for — never come near the threshold and stay on the
-//! microsecond repair path.
+//! Locality is a property of the *partition change*, not of the
+//! edit's degree: a hub is usually a singleton class before and after
+//! its edit, so it is renamed and its neighbours see nothing. Some
+//! edits really do change the partition globally. In a random
+//! 3-regular graph every vertex shares one class at every round; an
+//! edit there splits that class a little further each round until the
+//! whole regular part is refined, and a long path beside it keeps the
+//! trace long, so every remaining round re-reads the whole part. No
+//! repair scheme beats that honestly. Before each round the repair
+//! adds the arcs its candidates will read to the arcs it has read so
+//! far; once that exceeds one rebuild's `rounds × (n + arcs)` at the
+//! serial repair's price per arc (`FALLBACK_COST`), the worklist is
+//! abandoned and the trace rebuilt with the parallel fresh build
+//! ([`INCR_FALLBACKS`] counts these). A global cascade thus costs
+//! about one rebuild's worth of repair plus the rebuild, and local
+//! ones never come near the budget.
 //!
 //! Signatures are 128-bit digests with commutative two-lane multiset
 //! accumulation over neighbour colours (no per-vertex sorting), the
@@ -75,10 +97,13 @@ use crate::partition::{Color, Coloring};
 pub static INCR_BUILDS: gel_obs::Counter = gel_obs::Counter::new("wl.incr.builds");
 /// Edit repairs applied to a trace.
 pub static INCR_REPAIRS: gel_obs::Counter = gel_obs::Counter::new("wl.incr.repairs");
-/// Vertex colour changes across all repairs (the true work metric —
-/// the incremental-vs-full speedup comes from this staying near the
-/// edit locality instead of `n × rounds`).
+/// Vertex ids that really changed across all repairs (the true work
+/// metric — the incremental-vs-full speedup comes from this staying
+/// near the edit's partition change instead of `n × rounds`).
 pub static INCR_RECOLORED: gel_obs::Counter = gel_obs::Counter::new("wl.incr.recolored");
+/// Classes re-keyed in place by a repair: their digest moved but their
+/// membership did not, so their id (and every neighbour) stays put.
+pub static INCR_RENAMES: gel_obs::Counter = gel_obs::Counter::new("wl.incr.renames");
 /// Full refinement rounds run to extend a trace whose stable point
 /// moved later.
 pub static INCR_EXTENSIONS: gel_obs::Counter = gel_obs::Counter::new("wl.incr.extensions");
@@ -89,14 +114,14 @@ pub static INCR_FALLBACKS: gel_obs::Counter = gel_obs::Counter::new("wl.incr.fal
 /// Vertex counts below this keep the fresh-build digest fill serial.
 const INCR_PAR_THRESHOLD: usize = 256;
 
-/// A repair whose per-round changed set exceeds `n / FALLBACK_DIVISOR`
-/// (on graphs of at least [`INCR_PAR_THRESHOLD`] vertices) abandons
-/// the serial worklist and rebuilds from scratch: the cascade is
-/// global, and the parallel fresh build does the same work faster.
-/// The divisor errs toward bailing early — a false positive costs one
-/// parallel rebuild, while a missed cascade costs a serial `O(m)`
-/// worklist round (measured several times a rebuild on a hub edit).
-const FALLBACK_DIVISOR: usize = 64;
+/// Price of one arc read by the serial repair, in units of one arc read
+/// by the parallel rebuild. A repair (on graphs of at least
+/// [`INCR_PAR_THRESHOLD`] vertices) falls back to a rebuild once the
+/// arcs it has read plus those its next round's candidates will read,
+/// at this price, exceed the rebuild's `rounds × (n + arcs)`. Set at
+/// the measured crossover on random 3-regular ⊎ path graphs, where it
+/// ranged from 1.7 to 6.9 as the graphs grew (DESIGN §11).
+const FALLBACK_COST: usize = 4;
 
 const OUT_SALT: [u64; 2] = [0x9e37_79b9_7f4a_7c15, 0xd1b5_4a32_d192_ed03];
 const IN_SALT: [u64; 2] = [0x8cb9_2ba7_2f3d_8dd7, 0xaef1_7502_108e_f2d9];
@@ -149,10 +174,14 @@ fn label_digest(label: &[f64]) -> u128 {
 struct Round {
     /// Per-vertex colour id (persistent, *not* dense).
     colors: Vec<Color>,
-    /// Signature table; ids are monotone and never reused, so equal
-    /// digests always map to equal ids across repairs.
+    /// Signature table. Ids are never reused, and a class whose
+    /// digest moves while it stays the same set keeps its id (see
+    /// [`Round::patch`]).
     table: HashMap<u128, Color>,
-    next_id: Color,
+    /// The table's inverse: the digest each id is filed under, so a
+    /// re-keyed class retires its old entry and the table stays a
+    /// bijection.
+    digest_of: Vec<u128>,
     /// Population per id (indexed by id; stale ids simply sit at 0).
     pops: Vec<u32>,
     /// Ids with non-zero population = classes in this round's
@@ -165,7 +194,7 @@ impl Round {
         Round {
             colors: vec![0; n],
             table: HashMap::new(),
-            next_id: 0,
+            digest_of: Vec::new(),
             pops: Vec::new(),
             classes: 0,
         }
@@ -173,16 +202,13 @@ impl Round {
 
     /// Id for `digest`, allocating the next fresh id on first sight.
     fn assign(&mut self, digest: u128) -> Color {
-        match self.table.entry(digest) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let id = self.next_id;
-                self.next_id += 1;
-                self.pops.push(0);
-                e.insert(id);
-                id
-            }
+        let next = self.pops.len() as Color;
+        let id = *self.table.entry(digest).or_insert(next);
+        if id == next {
+            self.pops.push(0);
+            self.digest_of.push(digest);
         }
+        id
     }
 
     /// Population bookkeeping for the *initial* assignment of `v`
@@ -216,6 +242,56 @@ impl Round {
         self.colors[v] = id;
         true
     }
+
+    /// Patches this round from the candidates' new digests, `sigs`
+    /// sorted by `(digest, vertex)`, one group of equal digest at a
+    /// time:
+    ///
+    /// * a digest in the table takes the id filed under it;
+    /// * a new digest whose group holds every vertex that still
+    ///   carries some id `c` is a rename: that class did not change as
+    ///   a set, so `c`'s entry moves to the new digest in place and
+    ///   nobody changes id;
+    /// * any other new digest gets a fresh id.
+    ///
+    /// Invariant before each group: every vertex's id is the one filed
+    /// under its current digest (new for processed candidates and for
+    /// non-candidates, whose digests did not move; old for candidates
+    /// still waiting). A renamed class's members are the only vertices
+    /// filed under its old digest, so retiring that entry strands
+    /// nobody, and a later group whose new digest it was finds it gone
+    /// and is treated as new. After the last group, equal new digests
+    /// mean equal ids and the table is still a bijection. Pushes the
+    /// vertices whose id changed onto `changed` and returns the number
+    /// of renames.
+    fn patch(&mut self, sigs: &[(u128, Vertex)], changed: &mut Vec<Vertex>) -> u64 {
+        let mut renames = 0;
+        let mut rest = sigs;
+        while let Some(&(d, first)) = rest.first() {
+            let (group, tail) = rest.split_at(rest.partition_point(|&(e, _)| e == d));
+            rest = tail;
+            let c = self.colors[first as usize];
+            let id = if let Some(&id) = self.table.get(&d) {
+                id
+            } else if self.pops[c as usize] as usize == group.len()
+                && group.iter().all(|&(_, v)| self.colors[v as usize] == c)
+            {
+                self.table.remove(&self.digest_of[c as usize]);
+                self.table.insert(d, c);
+                self.digest_of[c as usize] = d;
+                renames += 1;
+                c
+            } else {
+                self.assign(d)
+            };
+            for &(_, v) in group {
+                if self.recolor(v as usize, id) {
+                    changed.push(v);
+                }
+            }
+        }
+        renames
+    }
 }
 
 /// A stable colouring maintained incrementally under edge edits. See
@@ -236,7 +312,8 @@ pub struct IncrementalStats {
     pub rounds: usize,
     /// Classes of the stable partition.
     pub num_colors: usize,
-    /// Cumulative vertex recolourings across repairs on this instance.
+    /// Cumulative vertex id changes across repairs on this instance
+    /// (renamed classes keep their ids and do not count).
     pub repaired_vertices: u64,
     /// Total signature-table entries across rounds (memory proxy;
     /// grows with edit history until [`IncrementalColoring::rebuild`]).
@@ -306,6 +383,9 @@ impl IncrementalColoring {
             let id = round.assign(self.digests[v]);
             round.init_color(v, id);
         }
+        // Drop the doubling slack: a scale-19 trace holds ~715k ids.
+        round.digest_of.shrink_to_fit();
+        round.pops.shrink_to_fit();
         let stable = self.rounds.last().map(|p| p.classes == round.classes).unwrap_or(false);
         self.rounds.push(round);
         stable
@@ -371,21 +451,46 @@ impl IncrementalColoring {
 
     /// Worklist repair after an edit touching `touched` (see module
     /// docs). Serial by design — determinism costs nothing here
-    /// because the worklists are tiny for local edits. When the
-    /// cascade turns out to be global (a hub edit on a skewed graph
-    /// genuinely recolours most of the graph — that is real partition
-    /// change, not repair overhead), the worklist is abandoned and the
-    /// trace rebuilt with the parallel fresh build, which computes the
-    /// identical output for less wall clock.
+    /// because the worklists track partition changes, which stay
+    /// small for most edits. When the cascade turns out to be global
+    /// (the arcs read so far plus the next round's would cost more
+    /// than a rebuild, see [`FALLBACK_COST`]), the worklist is
+    /// abandoned and the trace rebuilt with the parallel fresh build,
+    /// which computes the identical output for less wall clock.
     fn repair(&mut self, touched: &[Vertex]) {
         INCR_REPAIRS.incr();
         let _span = gel_obs::span("wl.incr.repair");
         let n = self.g.num_vertices();
-        let fallback_at = if n >= INCR_PAR_THRESHOLD { n / FALLBACK_DIVISOR } else { usize::MAX };
-        // `changed` = vertices whose previous-round colour changed.
+        let rounds = self.rounds.len();
+        // One rebuild reads every vertex and both arc lists per round.
+        let rebuild = rounds * (n + 2 * self.g.num_arcs());
+        let mut spent = 0;
+        let mut cand: Vec<Vertex> = touched.to_vec();
+        cand.sort_unstable();
+        cand.dedup();
+        let mut sigs: Vec<(u128, Vertex)> = Vec::new();
+        // Vertices whose id at the round just patched changed.
         let mut changed: Vec<Vertex> = Vec::new();
-        let mut cand: Vec<Vertex> = Vec::new();
-        for t in 1..self.rounds.len() {
+        for t in 1..rounds {
+            spent += cand
+                .iter()
+                .map(|&v| 1 + self.g.out_neighbors(v).len() + self.g.in_neighbors(v).len())
+                .sum::<usize>();
+            if n >= INCR_PAR_THRESHOLD && spent * FALLBACK_COST > rebuild {
+                INCR_FALLBACKS.incr();
+                self.full_fallbacks += 1;
+                self.build();
+                return;
+            }
+            let (before, after) = self.rounds.split_at_mut(t);
+            let prev = &before[t - 1].colors;
+            sigs.clear();
+            sigs.extend(cand.iter().map(|&v| (refine_digest(&self.g, prev, v), v)));
+            sigs.sort_unstable();
+            changed.clear();
+            INCR_RENAMES.add(after[0].patch(&sigs, &mut changed));
+            self.repaired_vertices += changed.len() as u64;
+            INCR_RECOLORED.add(changed.len() as u64);
             cand.clear();
             cand.extend_from_slice(touched);
             for &w in &changed {
@@ -395,25 +500,6 @@ impl IncrementalColoring {
             }
             cand.sort_unstable();
             cand.dedup();
-            let (before, after) = self.rounds.split_at_mut(t);
-            let prev = &before[t - 1];
-            let cur = &mut after[0];
-            changed.clear();
-            for &v in &cand {
-                let d = refine_digest(&self.g, &prev.colors, v);
-                let id = cur.assign(d);
-                if cur.recolor(v as usize, id) {
-                    changed.push(v);
-                    self.repaired_vertices += 1;
-                    INCR_RECOLORED.incr();
-                }
-            }
-            if changed.len() > fallback_at {
-                INCR_FALLBACKS.incr();
-                self.full_fallbacks += 1;
-                self.build();
-                return;
-            }
         }
         // Re-find the stable point: truncate if stability now happens
         // earlier, extend with full rounds if it happens later.
@@ -470,8 +556,9 @@ impl IncrementalColoring {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gel_graph::families::{cycle, path, petersen};
-    use gel_graph::random::erdos_renyi;
+    use gel_graph::families::{cycle, path, petersen, star};
+    use gel_graph::random::{erdos_renyi, random_regular, rmat_edges};
+    use gel_graph::GraphBuilder;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -560,10 +647,11 @@ mod tests {
     }
 
     #[test]
-    fn global_cascade_falls_back_to_rebuild() {
-        // Dense enough that any edit's two-hop neighbourhood is the
-        // whole graph: the worklist blows past n / 8 and the repair
-        // must finish as a rebuild — with identical output.
+    fn dense_er_edits_repair_without_fallback() {
+        // Every edit's two-hop neighbourhood is most of the graph, but
+        // the stable partition is discrete and an edit moves only a few
+        // vertices between classes: the rest are renames, so nothing
+        // cascades and no repair falls back.
         let g = erdos_renyi(400, 0.05, &mut StdRng::seed_from_u64(42));
         let mut inc = IncrementalColoring::new(&g);
         let mut rng = StdRng::seed_from_u64(7);
@@ -578,11 +666,171 @@ mod tests {
             }
             assert_eq!(inc.stable_coloring(), fresh(inc.graph()));
         }
-        assert!(
-            inc.stats().full_fallbacks >= 1,
-            "dense-graph edits must trip the cascade fallback (stats: {:?})",
-            inc.stats()
-        );
+        assert_eq!(inc.stats().full_fallbacks, 0, "stats: {:?}", inc.stats());
+    }
+
+    #[test]
+    fn global_cascade_falls_back_to_rebuild() {
+        // A random 3-regular graph beside a long path: the path keeps
+        // the trace long, and one edit in the regular part splits its
+        // single class a little further each round, across the whole
+        // part.
+        let g = random_regular(400, 3, &mut StdRng::seed_from_u64(11)).disjoint_union(&path(64));
+        let mut inc = IncrementalColoring::new(&g);
+        let baseline = inc.stable_coloring();
+        let (u, v) = (0..400u32)
+            .flat_map(|u| (u + 1..400).map(move |v| (u, v)))
+            .find(|&(u, v)| !g.has_edge(u, v))
+            .expect("a 3-regular graph has non-edges");
+        assert!(inc.insert_edge(u, v));
+        assert_eq!(inc.stats().full_fallbacks, 1, "a real global cascade must fall back");
+        assert_eq!(inc.stable_coloring(), fresh(inc.graph()));
+        assert!(inc.remove_edge(u, v));
+        assert_eq!(inc.stable_coloring(), baseline, "remove must undo insert");
+    }
+
+    #[test]
+    fn split_moving_the_larger_part_matches_fresh() {
+        // Two 7-leaf stars and an isolated vertex z = 16. Joining z to
+        // the first centre splits the centres at round 1, and at round 2
+        // the first star's leaves plus z (8 vertices) leave the 14-leaf
+        // class, whose other 7 stay: the moved part is the larger one.
+        let g = star(7).disjoint_union(&star(7)).disjoint_union(&DynGraph::new(1).snapshot());
+        let mut inc = IncrementalColoring::new(&g);
+        let baseline = inc.stable_coloring();
+        assert!(inc.insert_edge(0, 16));
+        assert_eq!(inc.stable_coloring(), fresh(inc.graph()));
+        // The deletion coarsens every split class back.
+        assert!(inc.remove_edge(0, 16));
+        assert_eq!(inc.stable_coloring(), baseline);
+        assert_eq!(inc.stable_coloring(), fresh(inc.graph()));
+    }
+
+    #[test]
+    fn deletions_that_coarsen_match_fresh() {
+        // Two diameters of C12 split its single class by distance to
+        // their endpoints; deleting them merges those classes again,
+        // back to the bare cycle's one.
+        let mut inc = IncrementalColoring::new(&cycle(12));
+        for (u, v) in [(0, 6), (3, 9)] {
+            assert!(inc.insert_edge(u, v));
+            assert_eq!(inc.stable_coloring(), fresh(inc.graph()));
+        }
+        for (u, v) in [(0, 6), (3, 9)] {
+            assert!(inc.remove_edge(u, v));
+            assert_eq!(inc.stable_coloring(), fresh(inc.graph()));
+        }
+        assert_eq!(inc.stable_coloring().num_colors, 1);
+    }
+
+    #[test]
+    fn rmat_edit_stream_repairs_without_fallback() {
+        // The skewed traffic the index serves: each edit continues the
+        // R-MAT stream, is checked against a fresh build, and undone.
+        let mut b = GraphBuilder::new(1 << 12);
+        for (u, v) in rmat_edges(12, 1 << 14, 12) {
+            b.add_edge(u, v);
+        }
+        let g = b.build();
+        let mut inc = IncrementalColoring::new(&g);
+        let baseline = inc.stable_coloring();
+        let edits: Vec<(u32, u32)> = rmat_edges(12, u64::MAX, 13)
+            .filter(|&(u, v)| u != v && !g.has_edge(u, v))
+            .take(12)
+            .collect();
+        for &(u, v) in &edits {
+            assert!(inc.insert_edge(u, v));
+            assert_eq!(inc.stable_coloring(), fresh(inc.graph()), "after inserting ({u},{v})");
+        }
+        for &(u, v) in &edits {
+            assert!(inc.remove_edge(u, v));
+            assert_eq!(inc.stable_coloring(), fresh(inc.graph()), "after removing ({u},{v})");
+        }
+        assert_eq!(inc.stable_coloring(), baseline);
+        assert_eq!(inc.stats().full_fallbacks, 0, "stats: {:?}", inc.stats());
+    }
+
+    /// A round whose classes are the equal-digest groups of `digests`
+    /// (vertex `v` filed under `digests[v]`).
+    fn round_of(digests: &[u128]) -> Round {
+        let mut r = Round::with_capacity(digests.len());
+        for (v, &d) in digests.iter().enumerate() {
+            let id = r.assign(d);
+            r.init_color(v, id);
+        }
+        r
+    }
+
+    /// Patches `r` with the candidates' new digests and checks the
+    /// result: equal digests ⟺ equal ids, and the table is still the
+    /// bijection its inverse records. Returns (changed, renames).
+    fn patch_and_check(r: &mut Round, old: &[u128], new: &[(Vertex, u128)]) -> (Vec<Vertex>, u64) {
+        let mut sigs: Vec<(u128, Vertex)> = new.iter().map(|&(v, d)| (d, v)).collect();
+        sigs.sort_unstable();
+        let mut changed = Vec::new();
+        let renames = r.patch(&sigs, &mut changed);
+        let mut digests = old.to_vec();
+        for &(v, d) in new {
+            digests[v as usize] = d;
+        }
+        for a in 0..digests.len() {
+            assert_eq!(r.table[&digests[a]], r.colors[a], "vertex {a} filed under its digest");
+            for b in 0..digests.len() {
+                assert_eq!(digests[a] == digests[b], r.colors[a] == r.colors[b], "({a}, {b})");
+            }
+        }
+        assert_eq!(r.table.len(), r.digest_of.len(), "one table entry per id");
+        for (id, d) in r.digest_of.iter().enumerate() {
+            assert_eq!(r.table[d] as usize, id, "inverse of id {id}");
+        }
+        let classes = r.pops.iter().filter(|&&p| p > 0).count();
+        assert_eq!(r.classes, classes);
+        changed.sort_unstable();
+        (changed, renames)
+    }
+
+    #[test]
+    fn classes_swapping_digests_keep_apart() {
+        // {0,1} and {2,3} trade digests: each group's new digest is
+        // still held by the other class, so neither may be taken by a
+        // rename — both groups move to the id filed under it.
+        let old = [10, 10, 20, 20, 30];
+        let mut r = round_of(&old);
+        let (changed, renames) =
+            patch_and_check(&mut r, &old, &[(0, 20), (1, 20), (2, 10), (3, 10)]);
+        assert_eq!((changed, renames), (vec![0, 1, 2, 3], 0));
+        // A chain: {0,1} leaves digest 20 for a new one while {2,3}
+        // takes 20 over. Groups run in digest order: when the new digest
+        // sorts first, {0,1} is renamed, its old entry retired, and {2,3}
+        // is renamed onto it; when 20 sorts first, {2,3} joins the id
+        // filed under 20 and {0,1}, no longer all of that id, moves on.
+        for (new_digest, moved, renamed) in [(5, vec![], 2), (25, vec![0, 1, 2, 3], 0)] {
+            let old = [20, 20, 10, 10, 30];
+            let mut r = round_of(&old);
+            let edits = [(0, new_digest), (1, new_digest), (2, 20), (3, 20)];
+            assert_eq!(patch_and_check(&mut r, &old, &edits), (moved, renamed));
+        }
+    }
+
+    #[test]
+    fn whole_class_with_a_new_digest_is_renamed_in_place() {
+        let old = [10, 10, 20, 20, 30];
+        let mut r = round_of(&old);
+        let ids = r.colors.clone();
+        let (changed, renames) = patch_and_check(&mut r, &old, &[(0, 40), (1, 40), (4, 50)]);
+        assert_eq!((changed, renames), (vec![], 2));
+        assert_eq!(r.colors, ids, "renames keep every id");
+        // A part of a class is not a rename: the non-candidate 3 keeps
+        // 20, and 2 moves to a fresh id.
+        let (changed, renames) = patch_and_check(&mut r, &[40, 40, 20, 20, 50], &[(2, 60)]);
+        assert_eq!((changed, renames), (vec![2], 0));
+        // Nor is a group as large as its first member's class that
+        // mixes in another class: 0 comes from {0,3}, 1 from {1}, and 3
+        // keeps 10.
+        let old = [10, 20, 30, 10];
+        let mut r = round_of(&old);
+        let (changed, renames) = patch_and_check(&mut r, &old, &[(0, 40), (1, 40)]);
+        assert_eq!((changed, renames), (vec![0, 1], 0));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! with a fresh computation. These are the invariants the experiment
 //! suite's byte-identical output rests on.
 
-use gel_graph::random::erdos_renyi;
-use gel_graph::{DynGraph, Graph};
+use gel_graph::random::{erdos_renyi, rmat_edges};
+use gel_graph::{DynGraph, Graph, GraphBuilder};
 use gel_wl::{
     cached_cr_equivalent, cached_joint_cr, cached_k_wl_equivalent, color_refinement, cr_equivalent,
     k_wl, k_wl_equivalent, CrOptions, IncrementalColoring, WlVariant,
@@ -123,20 +123,22 @@ proptest! {
         }
     }
 
-    /// Incremental colour refinement under a random edit sequence is
+    /// Incremental colour refinement under an edit sequence is
     /// bit-identical at 1 and 4 threads: every intermediate stable
     /// colouring, the instance work counters, and the process-wide obs
-    /// deltas (builds, repairs, recoloured vertices, cascade fallbacks)
-    /// all agree, and the final state equals a from-scratch recolour.
-    /// `n ≥ 300` keeps the fresh digest fills above the parallel
-    /// threshold, so the parallel path really runs.
+    /// deltas (builds, repairs, recoloured vertices, renames, cascade
+    /// fallbacks) all agree, and the final state equals a from-scratch
+    /// recolour. Two legs: random edits on Erdős–Rényi, and edits that
+    /// continue the stream of a skewed R-MAT graph (the ingest
+    /// traffic). `n ≥ 300` keeps the fresh digest fills above the
+    /// parallel threshold, so the parallel path really runs.
     #[test]
     fn incremental_edits_identical_across_thread_counts(seed in 0u64..1 << 48) {
         let _serial = serial();
         let n = 320usize;
-        let g = erdos_renyi(n, 3.0 / n as f64, &mut StdRng::seed_from_u64(seed));
+        let er = erdos_renyi(n, 3.0 / n as f64, &mut StdRng::seed_from_u64(seed));
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
-        let script: Vec<(u32, u32)> = (0..12)
+        let er_script: Vec<(u32, u32)> = (0..12)
             .map(|_| {
                 use rand::Rng;
                 let u = rng.gen_range(0..n as u32);
@@ -144,46 +146,57 @@ proptest! {
                 (u, v)
             })
             .collect();
+        let mut b = GraphBuilder::new(1 << 9);
+        for (u, v) in rmat_edges(9, 4 << 9, seed) {
+            b.add_edge(u, v);
+        }
+        let rmat = b.build();
+        let rmat_script: Vec<(u32, u32)> =
+            rmat_edges(9, u64::MAX, seed ^ 0x5EED).filter(|&(u, v)| u != v).take(12).collect();
 
-        let mut legs = Vec::new();
-        for t in [1usize, 4] {
-            rayon::set_num_threads(t);
-            let before = gel_obs::snapshot();
-            let mut inc = IncrementalColoring::new(&g);
-            let mut trace = Vec::new();
-            for &(u, v) in &script {
-                // Toggle: always an effective edit.
-                if !inc.insert_edge(u, v) {
-                    inc.remove_edge(u, v);
+        for (g, script) in [(er, er_script), (rmat, rmat_script)] {
+            let mut legs = Vec::new();
+            for t in [1usize, 4] {
+                rayon::set_num_threads(t);
+                let before = gel_obs::snapshot();
+                let mut inc = IncrementalColoring::new(&g);
+                let mut trace = Vec::new();
+                for &(u, v) in &script {
+                    // Toggle: always an effective edit.
+                    if !inc.insert_edge(u, v) {
+                        inc.remove_edge(u, v);
+                    }
+                    trace.push(inc.stable_coloring());
                 }
-                trace.push(inc.stable_coloring());
+                let delta = gel_obs::snapshot().since(&before);
+                let counters = [
+                    delta.counter("wl.incr.builds"),
+                    delta.counter("wl.incr.repairs"),
+                    delta.counter("wl.incr.recolored"),
+                    delta.counter("wl.incr.renames"),
+                    delta.counter("wl.incr.fallbacks"),
+                ];
+                legs.push((trace, inc.stats(), counters, inc.stable_coloring()));
             }
-            let delta = gel_obs::snapshot().since(&before);
-            let counters = [
-                delta.counter("wl.incr.builds"),
-                delta.counter("wl.incr.repairs"),
-                delta.counter("wl.incr.recolored"),
-                delta.counter("wl.incr.fallbacks"),
-            ];
-            legs.push((trace, inc.stats(), counters, inc.stable_coloring()));
-        }
-        rayon::set_num_threads(0);
-        let (trace_a, stats_a, ctr_a, final_a) = &legs[0];
-        let (trace_b, stats_b, ctr_b, final_b) = &legs[1];
-        prop_assert_eq!(trace_a, trace_b, "stable colourings drifted with the thread count");
-        prop_assert_eq!(stats_a, stats_b, "work counters drifted with the thread count");
-        prop_assert_eq!(ctr_a, ctr_b, "obs counters drifted with the thread count");
+            rayon::set_num_threads(0);
+            let (trace_a, stats_a, ctr_a, final_a) = &legs[0];
+            let (trace_b, stats_b, ctr_b, final_b) = &legs[1];
+            prop_assert_eq!(trace_a, trace_b, "stable colourings drifted with the thread count");
+            prop_assert_eq!(stats_a, stats_b, "work counters drifted with the thread count");
+            prop_assert_eq!(ctr_a, ctr_b, "obs counters drifted with the thread count");
 
-        // The survivor equals a from-scratch recolour of the edited graph.
-        let mut edited = DynGraph::from_graph(&g);
-        for &(u, v) in &script {
-            if edited.insert_edge(u, v) == 0 {
-                edited.remove_edge(u, v);
+            // The survivor equals a from-scratch recolour of the edited
+            // graph.
+            let mut edited = DynGraph::from_graph(&g);
+            for &(u, v) in &script {
+                if edited.insert_edge(u, v) == 0 {
+                    edited.remove_edge(u, v);
+                }
             }
+            let fresh = IncrementalColoring::from_dyn(edited).stable_coloring();
+            prop_assert_eq!(final_a, &fresh, "incremental final state diverged from fresh");
+            prop_assert_eq!(final_b, &fresh);
         }
-        let fresh = IncrementalColoring::from_dyn(edited).stable_coloring();
-        prop_assert_eq!(final_a, &fresh, "incremental final state diverged from fresh");
-        prop_assert_eq!(final_b, &fresh);
     }
 
     /// The WL cache returns exactly what a fresh computation returns —
