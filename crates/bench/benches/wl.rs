@@ -3,7 +3,8 @@
 //! srg(16,6,2,2) pair (Shrikhande vs 4×4 rook) — timing the
 //! arena-backed refinement engine end to end, folklore against
 //! oblivious 2-WL (the DESIGN.md §6 ablation), and the homomorphism
-//! counts behind E2/E13 (tree profiles and FAQ variable elimination).
+//! counts behind E2/E13 (tree profiles, and `hom_count`'s GEL
+//! sum-product queries on the compiled engine).
 //!
 //! Run with `cargo bench -p gel-bench --bench wl [-- --smoke]`.
 //! `--smoke` shrinks the iteration counts for CI and *asserts* the
@@ -15,6 +16,8 @@
 //! phase neither creates a buffer nor grows one. The first refinement
 //! must also move `wl.scratch.init_allocs` above zero, so a counter
 //! that silently reads zero fails the gate instead of passing it.
+//! `--smoke` also asserts that every `hom_count_er256_c{k}` row's
+//! count equals `tr(A^k)`, the closed walks of length `k`.
 
 use std::hint::black_box;
 
@@ -22,6 +25,7 @@ use gel_experiments::bench::min_secs_per_iter;
 use gel_graph::cfi::cfi_pair_k4;
 use gel_graph::families::{complete, cycle, path, petersen, srg_16_6_2_2_pair};
 use gel_graph::random::erdos_renyi;
+use gel_hom::subgraph::closed_walk_counts;
 use gel_hom::{free_trees_up_to, hom_count, hom_tree, tree_hom_vector};
 use gel_wl::{color_refinement, k_wl, CrOptions, WlVariant, SCRATCH_ALLOCS, SCRATCH_INIT_ALLOCS};
 use rand::rngs::StdRng;
@@ -86,8 +90,9 @@ fn main() {
 
     // Homomorphism counts, the other side of E2's characterization
     // (CR-equivalence ⇔ equal tree-hom counts): the 48-tree profile,
-    // the tree DP as the graph grows, and FAQ variable elimination on
-    // patterns of growing induced width.
+    // the tree DP as the graph grows, and `hom_count`'s GEL queries on
+    // cycles and cliques (multiway join for C3/C4/K4, elimination for
+    // C5/C6).
     let trees = free_trees_up_to(8); // 1+1+1+2+3+6+11+23 = 48 trees
     let g = erdos_renyi(60, 0.1, &mut StdRng::seed_from_u64(gel_bench::BENCH_SEED));
     report_hom(
@@ -108,9 +113,9 @@ fn main() {
     }
     let pet = petersen();
     for (name, pattern) in [
-        ("faq_hom_petersen_c4", cycle(4)),
-        ("faq_hom_petersen_c6", cycle(6)),
-        ("faq_hom_petersen_k4", complete(4)),
+        ("hom_count_petersen_c4", cycle(4)),
+        ("hom_count_petersen_c6", cycle(6)),
+        ("hom_count_petersen_k4", complete(4)),
     ] {
         report_hom(
             name,
@@ -118,6 +123,29 @@ fn main() {
                 black_box(hom_count(&pattern, &pet));
             }),
         );
+    }
+    let er = erdos_renyi(256, 8.0 / 256.0, &mut StdRng::seed_from_u64(1));
+    let mut walk_mismatches = Vec::new();
+    for (name, pattern, cycle_len) in [
+        ("hom_count_er256_c3", cycle(3), Some(3)),
+        ("hom_count_er256_c4", cycle(4), Some(4)),
+        ("hom_count_er256_c5", cycle(5), Some(5)),
+        ("hom_count_er256_c6", cycle(6), Some(6)),
+        ("hom_count_er256_k4", complete(4), None),
+    ] {
+        report_hom(
+            name,
+            min_secs_per_iter(1, iters, || {
+                black_box(hom_count(&pattern, &er));
+            }),
+        );
+        if let Some(k) = cycle_len {
+            let (count, walks) =
+                (hom_count(&pattern, &er), closed_walk_counts(&er, k).iter().sum());
+            if count != walks {
+                walk_mismatches.push(format!("{name}: {count} != tr(A^{k}) = {walks}"));
+            }
+        }
     }
 
     // Zero-allocation gate: a long refinement must grow the tracked
@@ -164,6 +192,8 @@ fn main() {
         assert_eq!(cr_gate.0 .1, cr_gate.1 .1, "CR rounds regrew scratch after warm-up");
         assert_eq!(warm.0, full.0, "2-FWL rounds created buffers after warm-up");
         assert_eq!(warm.1, full.1, "2-FWL rounds regrew scratch after warm-up");
+        assert!(walk_mismatches.is_empty(), "hom(C_k, G) != tr(A^k): {walk_mismatches:?}");
         println!("smoke OK: steady-state WL refinement rounds are allocation-free");
+        println!("smoke OK: hom(C_k, ER n=256) = tr(A^k) for k = 3..6");
     }
 }

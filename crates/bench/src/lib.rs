@@ -10,8 +10,9 @@
 //!   per-graph vs batched epochs, per-aggregator GNN-101
 //!   forward/backward (gate: zero steady-state buffer allocations);
 //! * `benches/wl.rs` — CR and folklore/oblivious k-WL on the hard
-//!   pairs, tree-hom profiles and FAQ hom counts (gate: zero
-//!   steady-state refinement scratch growth);
+//!   pairs, tree-hom profiles and hom counts through the GEL engine
+//!   (gates: zero steady-state refinement scratch growth,
+//!   `hom(C_k, G) = tr(A^k)`);
 //! * `benches/eval.rs` — the E4/E9 kernels through `EvalEngine`, the
 //!   guard ablation, the density and wco sweeps (gates: zero
 //!   steady-state slab allocations, hub wco speedup >= 5);

@@ -73,7 +73,7 @@ pub use func::{Agg, Func};
 pub use parser::{parse, ParseError, MAX_EXPR_DEPTH};
 pub use plan::{
     eval_dense_fallbacks, eval_plan_builds, eval_slab_allocs, eval_sparse_nnz, eval_wco_seeks,
-    expr_dag_hash, EvalEngine, PlanTooDense,
+    expr_dag_hash, EvalEngine, PlanError,
 };
 pub use simplify::simplify;
 pub use table::{EmbeddingTable, Var};

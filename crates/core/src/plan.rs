@@ -48,7 +48,8 @@ use crate::ast::{memo_shared, shared_addr, CmpOp, Expr};
 use crate::eval::EvalOptions;
 use crate::func::{Agg, Func};
 use crate::sparse::{
-    contract_sum, join_multiply, join_multiway, rekey_into, CoordList, JoinScratch, MAX_WCO_FACTORS,
+    contract_sum, join_multiply, join_multiway, rekey_into, CoordList, JoinScratch, MAX_JOIN_VARS,
+    MAX_WCO_FACTORS,
 };
 use crate::table::{EmbeddingTable, Var};
 
@@ -136,34 +137,56 @@ fn note_slab_alloc(len: usize) {
     }
 }
 
-/// Error of [`EvalEngine::try_eval_capped`]: the lowered plan needs a
-/// dense slab longer than the caller's cap, so evaluating it would
-/// allocate (and fill) more dense storage than the caller is willing
-/// to pay for. Raised before any storage is allocated.
+/// Why lowering refused a plan ([`EvalEngine::try_eval`],
+/// [`EvalEngine::try_eval_capped`]). Raised before any storage is
+/// allocated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanTooDense {
-    /// Length (elements) of the offending dense slab.
-    pub len: usize,
-    /// The caller's cap.
-    pub cap: usize,
+pub enum PlanError {
+    /// A node needs a dense slab longer than the caller's cap, so
+    /// evaluating would allocate (and fill) more dense storage than the
+    /// caller is willing to pay for.
+    TooDense {
+        /// Length (elements) of the offending dense slab.
+        len: usize,
+        /// The caller's cap.
+        cap: usize,
+    },
+    /// Variable elimination of some sum-product would build a table the
+    /// sparse kernels cannot key: more than [`MAX_JOIN_VARS`]
+    /// variables, or `n^vars` cell ids past `usize`.
+    TooWide {
+        /// Variables of the widest intermediate table.
+        vars: usize,
+        /// Vertex count of the graph.
+        n: usize,
+    },
 }
 
-impl std::fmt::Display for PlanTooDense {
+impl std::fmt::Display for PlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "plan needs a dense slab of {} elements (cap {})", self.len, self.cap)
+        match self {
+            PlanError::TooDense { len, cap } => {
+                write!(f, "plan needs a dense slab of {len} elements (cap {cap})")
+            }
+            PlanError::TooWide { vars, n } => write!(
+                f,
+                "plan needs a {vars}-variable intermediate table over {n} vertices, \
+                 past the sparse kernels' cell-id range"
+            ),
+        }
     }
 }
 
-impl std::error::Error for PlanTooDense {}
+impl std::error::Error for PlanError {}
 
-/// The [`PlanTooDense`] pre-pass: every node that will own a dense slab
+/// The [`PlanError::TooDense`] pre-pass: every node that will own a dense slab
 /// (dense representation, or sparse with a dense consumer) must fit
 /// under the cap.
-fn check_dense_cap(nodes: &[Node], cap: Option<usize>) -> Result<(), PlanTooDense> {
+fn check_dense_cap(nodes: &[Node], cap: Option<usize>) -> Result<(), PlanError> {
     let Some(cap) = cap else { return Ok(()) };
     for nd in nodes {
         if (!nd.sparse || nd.needs_dense) && nd.len > cap {
-            return Err(PlanTooDense { len: nd.len, cap });
+            return Err(PlanError::TooDense { len: nd.len, cap });
         }
     }
     Ok(())
@@ -487,6 +510,8 @@ pub struct EvalEngine {
     /// ([`EvalOptions::sparse_output`]).
     root_sparse: bool,
     root_table: EmbeddingTable,
+    /// Set by lowering when an elimination cannot be keyed.
+    too_wide: Option<PlanError>,
     pool: SlabPool,
     idx_pool: IdxPool,
     scratch: ExecScratch,
@@ -522,6 +547,7 @@ impl EvalEngine {
             cache_key: None,
             root_sparse: false,
             root_table: EmbeddingTable::placeholder(),
+            too_wide: None,
             pool: SlabPool::default(),
             idx_pool: IdxPool::default(),
             scratch: ExecScratch::default(),
@@ -545,11 +571,19 @@ impl EvalEngine {
     /// # Panics
     /// Panics on ill-typed expressions and out-of-range label atoms,
     /// like [`crate::eval::eval`] — run
-    /// [`crate::eval::check_against_graph`] first for untrusted input.
+    /// [`crate::eval::check_against_graph`] first for untrusted input —
+    /// and on plans [`Self::try_eval`] rejects.
     pub fn eval(&mut self, expr: &Expr, g: &Graph) -> &EmbeddingTable {
+        self.try_eval(expr, g).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::eval`], but fails — before allocating any storage — when
+    /// the plan's variable elimination needs a table too wide to key
+    /// (a sum-product of induced width `w` joins `w + 1` variables).
+    pub fn try_eval(&mut self, expr: &Expr, g: &Graph) -> Result<&EmbeddingTable, PlanError> {
         CALLS.incr();
-        self.ensure_plan(expr, g);
-        self.run_plan(g)
+        self.ensure_plan_capped(expr, g, None)?;
+        Ok(self.run_plan(g))
     }
 
     /// Like [`Self::eval`], but fails — *before* lowering allocates any
@@ -558,12 +592,13 @@ impl EvalEngine {
     /// whose root (and intermediates) stay sparse evaluate under a cap
     /// far below `n^width · dim`; the `gel-serve` layer uses this to
     /// admit large-n/low-nnz queries its dense size precheck rejects.
+    /// Plans [`Self::try_eval`] rejects fail here too.
     pub fn try_eval_capped(
         &mut self,
         expr: &Expr,
         g: &Graph,
         cap: usize,
-    ) -> Result<&EmbeddingTable, PlanTooDense> {
+    ) -> Result<&EmbeddingTable, PlanError> {
         CALLS.incr();
         self.ensure_plan_capped(expr, g, Some(cap))?;
         Ok(self.run_plan(g))
@@ -631,22 +666,17 @@ impl EvalEngine {
     }
 
     /// Lowers a fresh plan unless the cached one already matches
-    /// `(expr, g)`'s shape.
-    fn ensure_plan(&mut self, expr: &Expr, g: &Graph) {
-        self.ensure_plan_capped(expr, g, None).expect("uncapped lowering cannot exceed a cap");
-    }
-
-    /// [`Self::ensure_plan`] with an optional dense-slab cap: errors
-    /// *before any storage is allocated* when some node needs a dense
-    /// slab longer than `cap`. On error the engine keeps no cached key
-    /// — the half-lowered plan skeleton (no buffers attached) is
-    /// recycled by the next lowering.
+    /// `(expr, g)`'s shape. Errors *before any storage is allocated*
+    /// when an elimination is too wide to key or, given a `cap`, when
+    /// some node needs a dense slab longer than it. On error the engine
+    /// keeps no cached key — the half-lowered plan skeleton (no buffers
+    /// attached) is recycled by the next lowering.
     fn ensure_plan_capped(
         &mut self,
         expr: &Expr,
         g: &Graph,
         cap: Option<usize>,
-    ) -> Result<(), PlanTooDense> {
+    ) -> Result<(), PlanError> {
         // Hash with a pointer memo at `Shared` boundaries — a naive
         // `structural_hash` would unfold the DAG.
         self.hash_memo.clear();
@@ -664,8 +694,7 @@ impl EvalEngine {
             // The cap is not part of the cache key: re-verify it
             // against the cached plan's dense slabs (cheap — node
             // counts are small).
-            check_dense_cap(&self.nodes, cap)?;
-            return Ok(());
+            return check_dense_cap(&self.nodes, cap);
         }
         let _sp = gel_obs::span("eval.lower");
         self.cache_key = None;
@@ -682,7 +711,11 @@ impl EvalEngine {
         self.root_table = EmbeddingTable::placeholder();
         self.node_of.clear();
         self.n = g.num_vertices();
+        self.too_wide = None;
         self.root = self.lower(expr, g).0;
+        if let Some(e) = self.too_wide {
+            return Err(e);
+        }
         // Representation fixup. The root must exist densely — unless
         // `sparse_output` lets an already-sparse root skip the final
         // densify; a sparse atom nothing ever reads sparsely downgrades
@@ -1118,14 +1151,22 @@ impl EvalEngine {
                         all.iter().copied().filter(|v| !over.contains(v)).collect();
                     // Cyclic residual (induced width ≥ 2): binary
                     // merge-joins materialize intermediates that can
-                    // exceed the output (triangles, k-cycles,
+                    // exceed the output (triangles, 4-cycles,
                     // k-cliques), so take the worst-case-optimal
                     // multiway join instead — its work is capped by the
-                    // AGM fractional-cover bound. Free variables lead
-                    // the order ascending so output entries emerge in
-                    // dense layout order; aggregated variables follow
-                    // in cheapest-incident-factor-first order.
-                    if self.opts.wco && width >= 2 && factors.len() <= MAX_WCO_FACTORS {
+                    // AGM fractional-cover bound, about `m^ρ*`. Only
+                    // while `ρ* ≤ w`, though: elimination is bounded by
+                    // the order's width, and on long cycles (C5: ρ* =
+                    // 2.5, C6: 3, both w = 2) the join would enumerate
+                    // every walk. Free variables lead the order
+                    // ascending so output entries emerge in dense
+                    // layout order; aggregated variables follow in
+                    // cheapest-incident-factor-first order.
+                    if self.opts.wco
+                        && width >= 2
+                        && factors.len() <= MAX_WCO_FACTORS
+                        && fractional_cover_number(all.len(), &scopes) <= width as f64
+                    {
                         let sizes: Vec<f64> =
                             factors.iter().map(|&fi| self.nodes[fi].est_nnz as f64).collect();
                         let elim_ids = gel_graph::elim::wco_order_masked(
@@ -1164,6 +1205,11 @@ impl EvalEngine {
                         node.sparse = true;
                         node.est_nnz = est.clamp(1, out_cells.max(1));
                         return (self.push_node(node, key), key);
+                    }
+                    // Eliminating a variable joins it with its (at
+                    // most `width`) neighbours.
+                    if width >= MAX_JOIN_VARS || n.checked_pow(width as u32 + 1).is_none() {
+                        self.too_wide.get_or_insert(PlanError::TooWide { vars: width + 1, n });
                     }
                     let order: Vec<Var> = order_ids.iter().map(|&i| all[i as usize]).collect();
                     let node = self.make_node(
@@ -1431,6 +1477,18 @@ fn atom_vars(e: &Expr) -> [Var; 2] {
         Expr::Cmp { a, b, .. } => [*a, *b],
         _ => unreachable!("not an indicator atom"),
     }
+}
+
+/// The fractional edge-cover number `ρ*` of a scope hypergraph
+/// ([`gel_graph::elim::agm_cover_log_bound`] with unit sizes). Scopes
+/// over the same variable set count once: `E(x, y)` and `E(y, x)` are
+/// two factors but one hyperedge (scopes list their variables
+/// ascending, like every table).
+fn fractional_cover_number(num_vars: usize, scopes: &[Vec<u32>]) -> f64 {
+    let mut edges = scopes.to_vec();
+    edges.sort_unstable();
+    edges.dedup();
+    gel_graph::elim::agm_cover_log_bound(num_vars, &edges, &vec![1.0; edges.len()])
 }
 
 /// Converts a natural-log size bound
@@ -2704,40 +2762,104 @@ mod tests {
         }
     }
 
+    /// A random cyclic GEL_{2,3} sum-product on a random graph: cycle
+    /// length 3–5 with random arc directions, optional chord, optional
+    /// pendant edge, and a random (non-empty) aggregated subset.
+    fn random_cyclic_probe(seed: u64) -> (Graph, Expr) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = 4 + (seed % 4) as usize;
+        let g = random_graph(n, 1, &mut rng);
+        let len = 3 + (seed % 3) as u8;
+        let mut atoms = Vec::new();
+        for i in 1..=len {
+            let j = i % len + 1;
+            let (a, b) = if (seed >> i) & 1 == 0 { (i, j) } else { (j, i) };
+            atoms.push(edge(a, b));
+        }
+        let mut max_var = len;
+        if len >= 4 && (seed >> 11) & 1 == 1 {
+            atoms.push(edge(1, 3)); // chord
+        }
+        if (seed >> 12) & 1 == 1 {
+            max_var = len + 1;
+            atoms.push(edge(len, max_var)); // pendant
+        }
+        let mut over: Vec<Var> = (1..=max_var).filter(|v| (seed >> (16 + v)) & 1 == 1).collect();
+        if over.is_empty() {
+            over.push(1 + (seed % max_var as u64) as Var);
+        }
+        (g, cyclic_probe(atoms, over))
+    }
+
+    /// Whether the plan of `e` on `g` (forced sparse) has a
+    /// [`Kind::JoinWco`] root, checked against the `eval.wco.joins`
+    /// counter; otherwise the root must be an [`Kind::AggElim`].
+    fn plans_wco(e: &Expr, g: &Graph) -> bool {
+        let before = WCO_JOINS.get();
+        let mut eng = EvalEngine::with_options(forced_sparse(true));
+        eng.eval(e, g);
+        let wco = matches!(eng.nodes[eng.root].kind, Kind::JoinWco { .. });
+        assert!(wco || matches!(eng.nodes[eng.root].kind, Kind::AggElim { .. }), "{e}");
+        if wco {
+            // Other tests may join concurrently: only a rise is certain.
+            assert!(WCO_JOINS.get() > before, "JoinWco plan did not count a join for {e}");
+        }
+        wco
+    }
+
+    /// The `ρ* ≤ w` rule: triangles, 4-cycles and 4-cliques — closed,
+    /// and the per-vertex triangle, per-vertex 4-clique and per-pair
+    /// 4-cycle the query server is loaded with — take the multiway
+    /// join; 5- and 6-cycles (`ρ* = 2.5, 3` against `w = 2`) take
+    /// variable elimination.
+    #[test]
+    fn wco_only_when_cover_number_within_width() {
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let g = random_graph(10, 1, &mut rng);
+        let cycle_atoms = |k: Var| (1..=k).map(|i| edge(i, i % k + 1)).collect::<Vec<_>>();
+        let tri = vec![edge(1, 2), edge(2, 3), edge(1, 3)];
+        let k4 = vec![edge(1, 2), edge(1, 3), edge(1, 4), edge(2, 3), edge(2, 4), edge(3, 4)];
+        let c4 = vec![edge(1, 2), edge(2, 3), edge(3, 4), edge(1, 4)];
+        for e in [
+            cyclic_probe(tri.clone(), vec![1, 2, 3]),
+            cyclic_probe(cycle_atoms(4), vec![1, 2, 3, 4]),
+            cyclic_probe(k4.clone(), vec![1, 2, 3, 4]),
+            cyclic_probe(tri, vec![2, 3]),
+            cyclic_probe(k4, vec![2, 3, 4]),
+            cyclic_probe(c4, vec![2, 3]),
+        ] {
+            assert!(plans_wco(&e, &g), "{e} must take JoinWco");
+        }
+        for k in [5, 6] {
+            let e = cyclic_probe(cycle_atoms(k), (1..=k).collect());
+            assert!(!plans_wco(&e, &g), "C{k} must take AggElim");
+        }
+    }
+
+    /// The random cyclic family below reaches both plan kinds, so its
+    /// bit-identity property exercises the multiway join and not only
+    /// elimination.
+    #[test]
+    fn random_cyclic_probes_reach_both_plans() {
+        let wco = (0..64u64).filter(|&seed| {
+            let (g, e) = random_cyclic_probe(seed);
+            plans_wco(&e, &g)
+        });
+        let wco = wco.count();
+        assert!(wco > 0 && wco < 64, "{wco} of 64 random cyclic probes took JoinWco");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
-        // Random cyclic GEL_{2,3} sum-products: cycle length 3–5 with
-        // random arc directions, optional chord, optional pendant edge,
-        // and a random (non-empty) aggregated subset. The wco engine,
-        // the binary merge-join engine and the dense oracle must agree
+        // Random cyclic GEL_{2,3} sum-products (`random_cyclic_probe`;
+        // some take JoinWco, see `random_cyclic_probes_reach_both_plans`).
+        // The wco engine, the binary merge-join engine and the dense
+        // oracle must agree
         // bit-for-bit, serially and at 4 threads (the sparse kernels
         // are serial, so thread count must not change a single bit).
         #[test]
         fn wco_matches_binary_join_on_random_cyclic_gel(seed in 0u64..1_000_000) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let n = 4 + (seed % 4) as usize;
-            let g = random_graph(n, 1, &mut rng);
-            let len = 3 + (seed % 3) as u8;
-            let mut atoms = Vec::new();
-            for i in 1..=len {
-                let j = i % len + 1;
-                let (a, b) = if (seed >> i) & 1 == 0 { (i, j) } else { (j, i) };
-                atoms.push(edge(a, b));
-            }
-            let mut max_var = len;
-            if len >= 4 && (seed >> 11) & 1 == 1 {
-                atoms.push(edge(1, 3)); // chord
-            }
-            if (seed >> 12) & 1 == 1 {
-                max_var = len + 1;
-                atoms.push(edge(len, max_var)); // pendant
-            }
-            let mut over: Vec<Var> =
-                (1..=max_var).filter(|v| (seed >> (16 + v)) & 1 == 1).collect();
-            if over.is_empty() {
-                over.push(1 + (seed % max_var as u64) as Var);
-            }
-            let e = cyclic_probe(atoms, over);
+            let (g, e) = random_cyclic_probe(seed);
             let want = oracle_eval(&e, &g);
             for threads in [1, 4] {
                 rayon::set_num_threads(threads);
@@ -2809,7 +2931,10 @@ mod tests {
             ..EvalOptions::default()
         });
         let err = dense_eng.try_eval_capped(&e, &g, 64).unwrap_err();
-        assert!(err.len > 64, "error must carry the offending slab length");
+        assert!(
+            matches!(err, PlanError::TooDense { len, cap: 64 } if len > 64),
+            "error must carry the offending slab length: {err:?}"
+        );
         // The engine recovers: an uncapped call evaluates normally.
         assert_eq!(dense_eng.eval(&e, &g), &want);
     }

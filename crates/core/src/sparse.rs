@@ -302,6 +302,11 @@ fn digits_of(mut cell: usize, n: usize, out: &mut [usize]) {
     debug_assert_eq!(cell, 0);
 }
 
+/// Most variables one table may have in the join and re-key kernels,
+/// matching their stack-local digit arrays. Their cell ids must also
+/// fit `usize`; `plan.rs` checks both before choosing elimination.
+pub const MAX_JOIN_VARS: usize = 16;
+
 /// Re-keys the coordinates of `src` into a permuted mixed radix given
 /// per-position key strides, as `(key, entry index)` pairs sorted by
 /// key. Skips the sort when the remap is the identity (keys already
@@ -318,7 +323,7 @@ pub(crate) fn rekey_into(
 ) {
     out.clear();
     let p = key_strides.len();
-    let mut digits = [0usize; 16];
+    let mut digits = [0usize; MAX_JOIN_VARS];
     assert!(p <= digits.len(), "too many variables in sparse join");
     for (i, &c) in src.coords.iter().enumerate() {
         let key = if identity {
@@ -392,11 +397,12 @@ pub fn join_multiply(
     fill_out_strides(&s.vars_a, out_vars, n, &mut s.out_a);
     fill_out_strides(&s.vars_b, out_vars, n, &mut s.out_b);
 
-    let mut sdig = [0usize; 16];
-    let contrib = |rest: usize, q: usize, strides: &[usize], dig: &mut [usize; 16]| -> usize {
-        digits_of(rest, n, &mut dig[..q]);
-        dig[..q].iter().zip(strides).map(|(d, s)| d * s).sum()
-    };
+    let mut sdig = [0usize; MAX_JOIN_VARS];
+    let contrib =
+        |rest: usize, q: usize, strides: &[usize], dig: &mut [usize; MAX_JOIN_VARS]| -> usize {
+            digits_of(rest, n, &mut dig[..q]);
+            dig[..q].iter().zip(strides).map(|(d, s)| d * s).sum()
+        };
 
     let (keys_a, keys_b) = (&s.keys, &s.keys_b);
     let (mut i, mut j) = (0usize, 0usize);
@@ -556,16 +562,16 @@ pub fn join_multiway(
         assert_eq!(factors[f].dim, 1, "join_multiway is scalar");
         debug_assert!(vars.windows(2).all(|w| w[0] < w[1]));
         let q = vars.len();
-        assert!(q <= 16, "too many variables in sparse join");
+        assert!(q <= MAX_JOIN_VARS, "too many variables in sparse join");
         let radix = if q * shift <= 63 { nb } else { n };
         s.wco_radix.push(radix);
         // Global order position of each variable, and its trie level
         // (rank of that position among the factor's own variables).
-        let mut pos = [0usize; 16];
+        let mut pos = [0usize; MAX_JOIN_VARS];
         for (i, v) in vars.iter().enumerate() {
             pos[i] = order.iter().position(|o| o == v).expect("factor variable in order");
         }
-        let mut kstr = [0usize; 16];
+        let mut kstr = [0usize; MAX_JOIN_VARS];
         let mut identity = true;
         for i in 0..q {
             let level = (0..q).filter(|&j| pos[j] < pos[i]).count();
@@ -578,7 +584,7 @@ pub fn join_multiway(
         // Trie view: re-key the sorted coordinates to trie order (and
         // into the widened radix when it differs from `n`).
         if !identity || radix != n {
-            let mut digits = [0usize; 16];
+            let mut digits = [0usize; MAX_JOIN_VARS];
             for c in factors[f].coords.iter_mut() {
                 digits_of(*c, n, &mut digits[..q]);
                 *c = digits[..q].iter().zip(&kstr[..q]).map(|(d, st)| d * st).sum();

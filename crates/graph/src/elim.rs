@@ -1,13 +1,13 @@
-//! Shared variable-elimination planning: the min-degree heuristic used
-//! by both the FAQ homomorphism counter (`gel-hom`) and the compiled
-//! GEL evaluator's sparse sum-product kernel (`gel-lang`).
+//! Variable-elimination planning for the compiled GEL evaluator's
+//! sparse sum-product kernels (`gel-lang`), which also count every
+//! homomorphism (`gel-hom` builds `hom(P, G)` as a GEL query).
 //!
-//! Both consumers solve the same problem — pick an order in which to
-//! sum out the variables of `Σ_x̄ Π_i F_i(x̄_i)` so the largest
-//! intermediate factor stays small (Khamis–Ngo–Rudra, FAQ, PODS 2016;
-//! the paper's slide 70 "semantic treewidth" connection) — so the
-//! planner lives here, on the hypergraph of factor scopes, below both
-//! crates in the dependency order.
+//! The problem is to pick an order in which to sum out the variables
+//! of `Σ_x̄ Π_i F_i(x̄_i)` so the largest intermediate factor stays
+//! small (Khamis–Ngo–Rudra, FAQ, PODS 2016; the paper's slide 70
+//! "semantic treewidth" connection), plus the AGM cover bound and the
+//! multiway-join order. The planner works on the hypergraph of factor
+//! scopes alone, so it lives here, below the evaluator.
 //!
 //! Determinism: adjacency is kept in `BTreeSet`s and ties in the
 //! degree heuristic break by vertex id, so the returned order is a

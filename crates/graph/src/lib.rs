@@ -19,9 +19,9 @@
 //!   networks for link prediction (slides 7–9);
 //! * [`iso`] — exact isomorphism testing (VF2), the gold standard that
 //!   separation power is measured against (slide 25);
-//! * [`elim`] — the shared min-degree variable-elimination planner
-//!   used by both the FAQ homomorphism counter and the compiled GEL
-//!   evaluator's sparse sum-product kernel (slide 70);
+//! * [`elim`] — the variable-elimination and multiway-join planner of
+//!   the compiled GEL evaluator's sparse sum-product kernels, which
+//!   also count homomorphisms (slide 70);
 //! * [`typed`] — multi-relational graphs for the paper's relational
 //!   closing direction (slide 74);
 //! * [`io`] — plain-text edge-list interchange and Graphviz DOT export.

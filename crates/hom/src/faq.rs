@@ -1,224 +1,105 @@
-//! General homomorphism counting by variable elimination, in the style
-//! of FAQ — "Functional Aggregate Queries" (Khamis, Ngo, Rudra, PODS
-//! 2016), which the paper points to on slide 70 when discussing how
-//! functions and aggregations behave as semiring operators.
+//! General homomorphism counting as a GEL query, in the style of FAQ
+//! — "Functional Aggregate Queries" (Khamis, Ngo, Rudra, PODS 2016),
+//! which the paper points to on slide 70 when discussing how functions
+//! and aggregations behave as semiring operators.
 //!
-//! `hom(P, G)` is the sum-product query
-//! `Σ_{x₁…x_p} Π_{(a,b) ∈ E_P} A_G[x_a, x_b]`, evaluated by eliminating
-//! one pattern variable at a time with a min-degree heuristic. The
-//! running time is `O(p · n^{w+1})` where `w` is the induced width of
-//! the elimination order — the treewidth connection the paper draws for
-//! GEL fragments (slide 70, "semantic treewidth").
+//! `hom(P, G)` is the closed sum-product
+//! `Σ_{x₁…x_p} Π_{(a,b) ∈ E_P} E(x_a, x_b)`, a `GEL_p` expression.
+//! [`hom_count`] builds it and evaluates it on the compiled GEL engine
+//! ([`gel_lang::EvalEngine`]), whose planner contracts it over sparse
+//! coordinate lists: by a worst-case-optimal multiway join when the
+//! pattern's fractional edge cover `ρ*` is at most its induced width
+//! `w`, otherwise by min-degree variable elimination. The running time
+//! is exponential only in `w` — the treewidth connection the paper
+//! draws for GEL fragments (slide 70, "semantic treewidth").
 
-use std::collections::BTreeSet;
+use std::fmt;
 
-use gel_graph::{Graph, Vertex};
+use gel_graph::Graph;
+use gel_lang::ast::build::{agg_over, apply, edge, eq};
+use gel_lang::{Agg, EvalEngine, Expr, Func, PlanError, Var};
 
-/// A dense factor over a set of pattern variables: `table` is indexed
-/// mixed-radix by the assignments of `vars` (each ranging over
-/// `0..n_g`), most-significant variable first.
-#[derive(Debug, Clone)]
-struct Factor {
-    vars: Vec<u32>, // sorted pattern-variable ids
-    table: Vec<f64>,
+/// A pattern whose count the GEL engine cannot evaluate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HomError {
+    /// The pattern needs more variables than GEL can name: one per
+    /// vertex plus one per self-loop, at most [`Var::MAX`] (255).
+    TooManyVariables {
+        /// Variables the pattern needs.
+        vars: usize,
+    },
+    /// The engine refused the plan: eliminating the pattern's
+    /// variables needs a table too wide to key on this target.
+    Plan(PlanError),
 }
 
-impl Factor {
-    fn size_for(vars: &[u32], n: usize) -> usize {
-        n.checked_pow(vars.len() as u32).expect("factor too large")
-    }
-
-    /// Index into the table for the given full assignment.
-    fn index(&self, assign: &[u32], n: usize) -> usize {
-        let mut idx = 0usize;
-        for &v in &self.vars {
-            idx = idx * n + assign[v as usize] as usize;
-        }
-        idx
-    }
-}
-
-/// Multiplies all `factors` containing variable `var`, sums `var` out,
-/// and returns the resulting factor.
-fn eliminate(factors: Vec<Factor>, var: u32, n: usize) -> Vec<Factor> {
-    let (with, without): (Vec<Factor>, Vec<Factor>) =
-        factors.into_iter().partition(|f| f.vars.contains(&var));
-    if with.is_empty() {
-        // Free variable: summing it out multiplies by n.
-        let mut rest = without;
-        rest.push(Factor { vars: vec![], table: vec![n as f64] });
-        return rest;
-    }
-    // Union of variables minus the eliminated one.
-    let mut union: BTreeSet<u32> = BTreeSet::new();
-    for f in &with {
-        union.extend(f.vars.iter().copied());
-    }
-    union.remove(&var);
-    let out_vars: Vec<u32> = union.into_iter().collect();
-    let mut out =
-        Factor { vars: out_vars.clone(), table: vec![0.0; Factor::size_for(&out_vars, n)] };
-
-    // Enumerate assignments to out_vars × var.
-    let max_var = with.iter().flat_map(|f| f.vars.iter()).copied().max().unwrap_or(0);
-    let mut assign = vec![0u32; max_var as usize + 1];
-    let out_size = out.table.len();
-    for out_idx in 0..out_size {
-        // Decode out_idx into assign over out_vars.
-        let mut rest = out_idx;
-        for &v in out.vars.iter().rev() {
-            assign[v as usize] = (rest % n) as u32;
-            rest /= n;
-        }
-        let mut acc = 0.0;
-        for w in 0..n as u32 {
-            assign[var as usize] = w;
-            let mut prod = 1.0;
-            for f in &with {
-                prod *= f.table[f.index(&assign, n)];
-                if prod == 0.0 {
-                    break;
-                }
-            }
-            acc += prod;
-        }
-        out.table[out_idx] = acc;
-    }
-    let mut rest = without;
-    rest.push(out);
-    rest
-}
-
-/// A min-degree elimination order for the pattern `p` (ties broken by
-/// id). Returns the order and its induced width.
-///
-/// Thin wrapper over the shared planner
-/// [`gel_graph::elim::min_degree_order_masked`] — the compiled GEL
-/// evaluator's sparse sum-product kernel plans with the same function,
-/// so the treewidth heuristic (and its deterministic tie-breaking)
-/// lives in exactly one place.
-pub fn min_degree_order(p: &Graph) -> (Vec<u32>, usize) {
-    let n = p.num_vertices();
-    // Moralized scopes: one 2-clique per (undirected) arc.
-    let scopes: Vec<Vec<u32>> = p.arcs().filter(|(a, b)| a != b).map(|(a, b)| vec![a, b]).collect();
-    gel_graph::elim::min_degree_order_masked(n, &scopes, &vec![true; n])
-}
-
-/// The deduplicated edge scopes of a pattern (self-loops excluded),
-/// as variable pairs sorted within each scope — the hypergraph the
-/// cover-bound and order helpers below reason over.
-fn edge_scopes(p: &Graph) -> Vec<Vec<u32>> {
-    let mut seen = BTreeSet::new();
-    p.arcs()
-        .filter(|(a, b)| a != b)
-        .filter(|&(a, b)| seen.insert((a.min(b), a.max(b))))
-        .map(|(a, b)| vec![a.min(b), a.max(b)])
-        .collect()
-}
-
-/// Natural log of the AGM fractional-edge-cover bound on `hom(P, G)`:
-/// every edge factor has at most `m = |E_G|` nonzeros, so
-/// `hom(P, G) ≤ m^{ρ*(P)} · n^{iso}` where `ρ*` is the fractional
-/// edge-cover number of `P` and `iso` counts its isolated vertices
-/// (each ranges freely over `G`). The cover comes from the shared
-/// planner [`gel_graph::elim::agm_cover_log_bound`] — the same
-/// computation the compiled GEL evaluator uses to size and order its
-/// worst-case-optimal multiway joins, so the bound quoted here and the
-/// engine's `JoinWco` cost model can never drift apart.
-pub fn agm_log_bound(p: &Graph, g: &Graph) -> f64 {
-    let np = p.num_vertices();
-    let scopes = edge_scopes(p);
-    let mut covered = vec![false; np];
-    for s in &scopes {
-        for &v in s {
-            covered[v as usize] = true;
+impl fmt::Display for HomError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            HomError::TooManyVariables { vars } => write!(
+                f,
+                "pattern needs {vars} variables (one per vertex and self-loop), \
+                 GEL names at most {}",
+                Var::MAX
+            ),
+            HomError::Plan(e) => write!(f, "{e}"),
         }
     }
-    // Self-loop-only vertices are constrained (factor on one var with
-    // ≤ n nonzeros); count them with the isolated ones at n each —
-    // still an upper bound.
-    let iso = covered.iter().filter(|&&c| !c).count();
-    let m = (g.num_arcs().max(1)) as f64;
-    let log_sizes = vec![m.ln(); scopes.len()];
-    gel_graph::elim::agm_cover_log_bound(np, &scopes, &log_sizes)
-        + iso as f64 * (g.num_vertices().max(1) as f64).ln()
 }
 
-/// A worst-case-optimal variable order for `hom(P, G)`: pattern
-/// variables sorted by the size of their smallest incident edge
-/// factor, ties by id — [`gel_graph::elim::wco_order_masked`], exactly
-/// the order the GEL engine's `JoinWco` kernel intersects in. With
-/// uniform adjacency factors this degenerates to id order over
-/// non-isolated vertices (isolated ones sort last); it exists here so
-/// a caller holding per-edge selectivities can see the shared policy.
-pub fn wco_order(p: &Graph, g: &Graph) -> Vec<u32> {
-    let scopes = edge_scopes(p);
-    let sizes = vec![g.num_arcs().max(1) as f64; scopes.len()];
-    gel_graph::elim::wco_order_masked(
-        p.num_vertices(),
-        &scopes,
-        &sizes,
-        &vec![true; p.num_vertices()],
-    )
+impl std::error::Error for HomError {}
+
+/// The closed GEL query counting homomorphisms from `p`, which must
+/// have at least one arc: vertex `v` is variable `x_{v+1}`, each arc
+/// `(a, b)` an atom `E(x_a, x_b)`. A self-loop `(a, a)` becomes
+/// `E(x_a, y)·1[x_a = y]` over a fresh variable `y`, because `E(x, x)`
+/// is ill-typed.
+fn hom_query(p: &Graph) -> Expr {
+    let x = |v: u32| (v + 1) as Var;
+    let mut atoms = Vec::with_capacity(p.num_arcs());
+    let mut last = p.num_vertices() as Var;
+    for (a, b) in p.arcs() {
+        if a == b {
+            last += 1;
+            atoms.push(edge(x(a), last));
+            atoms.push(eq(x(a), last));
+        } else {
+            atoms.push(edge(x(a), x(b)));
+        }
+    }
+    let product = apply(Func::Mul { arity: atoms.len(), dim: 1 }, atoms);
+    agg_over(Agg::Sum, (1..=last).collect(), product, None)
 }
 
 /// Counts homomorphisms from an arbitrary pattern `p` into `g`
-/// (structure only; labels ignored). Both directed and undirected
-/// patterns are supported: each arc of `p` contributes an adjacency
-/// factor of `g`.
+/// (structure only; labels ignored) on `engine`, so callers counting
+/// many patterns reuse its buffers, and its compiled plan when the
+/// pattern and `g`'s vertex count repeat. Directed and undirected
+/// patterns are both supported: each arc of `p` contributes an
+/// adjacency atom. A pattern with no arcs has `n^{|V(P)|}`
+/// homomorphisms.
 ///
-/// Cost is exponential only in the induced width of the elimination
-/// order (≈ treewidth of `p`); patterns in the corpus have width ≤ 2.
-pub fn hom_count(p: &Graph, g: &Graph) -> f64 {
-    let np = p.num_vertices();
-    let n = g.num_vertices();
-    if np == 0 {
-        return 1.0;
+/// # Errors
+/// [`HomError`] when `p` needs more than 255 variables or its
+/// elimination is too wide for the engine on `g`.
+pub fn hom_count_with(engine: &mut EvalEngine, p: &Graph, g: &Graph) -> Result<f64, HomError> {
+    let loops = p.arcs().filter(|(a, b)| a == b).count();
+    let vars = p.num_vertices() + loops;
+    if vars > Var::MAX as usize {
+        return Err(HomError::TooManyVariables { vars });
     }
-    if n == 0 {
-        return 0.0;
+    if p.num_arcs() == 0 {
+        return Ok((g.num_vertices() as f64).powi(p.num_vertices() as i32));
     }
-    // Edge factors; deduplicate symmetric pairs into a single factor
-    // only when both directions exist (A is symmetric then anyway).
-    let mut factors: Vec<Factor> = Vec::new();
-    let mut done = BTreeSet::new();
-    for (a, b) in p.arcs() {
-        if a == b {
-            // Self-loop in the pattern: factor on one variable.
-            let table: Vec<f64> =
-                (0..n).map(|x| f64::from(g.has_edge(x as Vertex, x as Vertex))).collect();
-            factors.push(Factor { vars: vec![a], table });
-            continue;
-        }
-        let key = (a.min(b), a.max(b), p.has_edge(a, b) && p.has_edge(b, a));
-        if key.2 && !done.insert((key.0, key.1)) {
-            continue; // symmetric pair already added once
-        }
-        let (lo, hi) = (a.min(b), a.max(b));
-        let mut table = vec![0.0; n * n];
-        for x in 0..n as u32 {
-            for y in 0..n as u32 {
-                // Factor over sorted vars (lo, hi): entry (x, y) means lo=x, hi=y.
-                let (va, vb) = if a == lo { (x, y) } else { (y, x) };
-                let ok = if key.2 {
-                    g.has_edge(va, vb) && g.has_edge(vb, va)
-                } else {
-                    g.has_edge(va, vb)
-                };
-                if ok {
-                    table[x as usize * n + y as usize] = 1.0;
-                }
-            }
-        }
-        factors.push(Factor { vars: vec![lo, hi], table });
-    }
+    Ok(engine.try_eval(&hom_query(p), g).map_err(HomError::Plan)?.value()[0])
+}
 
-    let (order, _) = min_degree_order(p);
-    let mut current = factors;
-    for v in order {
-        current = eliminate(current, v, n);
-    }
-    current.into_iter().map(|f| f.table[0]).product()
+/// [`hom_count_with`] on a fresh engine.
+///
+/// # Panics
+/// Panics on the patterns [`hom_count_with`] rejects.
+pub fn hom_count(p: &Graph, g: &Graph) -> f64 {
+    hom_count_with(&mut EvalEngine::new(), p, g).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -287,14 +168,16 @@ mod tests {
         assert_eq!(hom_count(&p, &g), 3.0);
     }
 
-    #[test]
-    fn min_degree_width_of_cycle_is_two() {
-        let (_, w) = min_degree_order(&cycle(8));
-        assert_eq!(w, 2);
-        let (_, wp) = min_degree_order(&path(8));
-        assert_eq!(wp, 1);
-        let (_, wk) = min_degree_order(&complete(5));
-        assert_eq!(wk, 4);
+    /// Natural log of the AGM bound on `hom(P, G)`: every edge factor
+    /// has at most `m = |E_G|` nonzeros, so `hom(P, G) ≤ m^{ρ*(P)} ·
+    /// n^{iso}` where `iso` counts the isolated vertices of `P`.
+    fn agm_log_bound(p: &Graph, g: &Graph) -> f64 {
+        let scopes: Vec<Vec<u32>> =
+            p.arcs().filter(|(a, b)| a < b).map(|(a, b)| vec![a, b]).collect();
+        let iso = p.vertices().filter(|&v| p.degree(v) == 0).count();
+        let m = g.num_arcs().max(1) as f64;
+        gel_graph::elim::agm_cover_log_bound(p.num_vertices(), &scopes, &vec![m.ln(); scopes.len()])
+            + iso as f64 * (g.num_vertices().max(1) as f64).ln()
     }
 
     /// `hom(P, G) ≤ exp(agm_log_bound(P, G))` across cyclic, acyclic,
@@ -333,26 +216,72 @@ mod tests {
         assert!(hom <= bound * (1.0 + 1e-9));
     }
 
-    /// The shared wco order covers every non-isolated pattern vertex
-    /// exactly once, isolated ones last.
+    /// Triangles, 4-cycles and 4-cliques (`ρ* ≤ w`) count through the
+    /// engine's multiway join: its seek counter rises.
     #[test]
-    fn wco_order_is_a_permutation_with_isolated_last() {
-        let mut b = GraphBuilder::new(5);
-        b.add_edge(0, 1);
-        b.add_edge(1, 2);
-        b.add_edge(0, 2); // vertices 3, 4 isolated
-        let p = b.build();
-        let order = wco_order(&p, &complete(4));
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
-        assert!(order.iter().position(|&v| v == 3).unwrap() >= 3);
-        assert!(order.iter().position(|&v| v == 4).unwrap() >= 3);
+    fn short_cycles_and_cliques_take_the_multiway_join() {
+        let g = petersen().disjoint_union(&complete(10));
+        for p in [cycle(3), cycle(4), complete(4)] {
+            let before = gel_lang::eval_wco_seeks();
+            assert_eq!(
+                hom_count(&p, &g),
+                hom_count(&p, &petersen()) + hom_count(&p, &complete(10))
+            );
+            assert!(gel_lang::eval_wco_seeks() > before, "{p:?} did not take JoinWco");
+        }
     }
 
     #[test]
     fn empty_pattern() {
         assert_eq!(hom_count(&GraphBuilder::new(0).build(), &cycle(4)), 1.0);
+    }
+
+    /// A self-loop `(a, a)` in the pattern pins `x_a` to a looped
+    /// target vertex.
+    #[test]
+    fn pattern_self_loops_need_target_loops() {
+        let mut bp = GraphBuilder::new(2);
+        bp.add_arc(0, 0).add_arc(0, 1);
+        let p = bp.build();
+        let mut bg = GraphBuilder::new(3);
+        bg.add_arc(0, 0).add_arc(0, 1).add_arc(0, 2).add_arc(1, 1).add_arc(1, 2);
+        let g = bg.build();
+        // x0 ∈ {0, 1} (looped), x1 any out-neighbour: 3 + 2.
+        assert_eq!(hom_count(&p, &g), 5.0);
+        assert_eq!(hom_count(&p, &cycle(5)), 0.0);
+    }
+
+    #[test]
+    fn empty_target() {
+        let empty = GraphBuilder::new(0).build();
+        assert_eq!(hom_count(&cycle(3), &empty), 0.0);
+        assert_eq!(hom_count(&GraphBuilder::new(2).build(), &empty), 0.0);
+    }
+
+    /// Patterns past the 255-variable range are a typed error; one
+    /// vertex fewer evaluates.
+    #[test]
+    fn patterns_past_the_variable_range_are_errors() {
+        let mut eng = EvalEngine::new();
+        let err = hom_count_with(&mut eng, &path(256), &cycle(4)).unwrap_err();
+        assert_eq!(err, HomError::TooManyVariables { vars: 256 });
+        // 254 vertices and 2 self-loops also need 256 variables.
+        let mut b = GraphBuilder::new(254);
+        b.add_arc(0, 0).add_arc(1, 1);
+        assert_eq!(hom_count_with(&mut eng, &b.build(), &cycle(4)), Err(err));
+        // hom(P_255, C_4) = 4 · 2^254 walks, exact in f64.
+        assert_eq!(hom_count_with(&mut eng, &path(255), &cycle(4)), Ok(4.0 * 2f64.powi(254)));
+    }
+
+    /// K12 has induced width 11: eliminating its first vertex joins 12
+    /// variables, whose 50^12 cell ids overflow `usize` — a typed error.
+    /// Into 40 vertices (40^12 < 2^64) the same plan runs.
+    #[test]
+    fn patterns_too_wide_to_eliminate_are_errors() {
+        let mut eng = EvalEngine::new();
+        let err = hom_count_with(&mut eng, &complete(12), &cycle(50)).unwrap_err();
+        assert_eq!(err, HomError::Plan(PlanError::TooWide { vars: 12, n: 50 }));
+        assert_eq!(hom_count_with(&mut eng, &complete(12), &cycle(40)), Ok(0.0));
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! packages truncated profiles over an arbitrary pattern family.
 
 use gel_graph::Graph;
+use gel_lang::EvalEngine;
 
-use crate::faq::hom_count;
+use crate::faq::hom_count_with;
 
 /// A truncated homomorphism profile of a graph over a pattern family.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,9 +19,13 @@ pub struct HomProfile {
 }
 
 impl HomProfile {
-    /// Computes the profile of `g` over `patterns`.
+    /// Computes the profile of `g` over `patterns` on one engine.
+    ///
+    /// # Panics
+    /// Panics on the patterns [`hom_count_with`] rejects.
     pub fn new(patterns: &[Graph], g: &Graph) -> Self {
-        Self { counts: patterns.iter().map(|p| hom_count(p, g)).collect() }
+        let mut engine = EvalEngine::new();
+        Self { counts: patterns.iter().map(|p| count(&mut engine, p, g)).collect() }
     }
 
     /// Exact equality of two profiles (hom counts are integers stored
@@ -43,9 +48,18 @@ impl HomProfile {
 }
 
 /// True iff `g` and `h` have identical hom counts from every pattern in
-/// `patterns`.
+/// `patterns`. One engine counts them all; when `g` and `h` have equal
+/// vertex counts, `h` reuses each pattern's plan compiled for `g`.
+///
+/// # Panics
+/// Panics on the patterns [`hom_count_with`] rejects.
 pub fn hom_equivalent_over(patterns: &[Graph], g: &Graph, h: &Graph) -> bool {
-    patterns.iter().all(|p| hom_count(p, g) == hom_count(p, h))
+    let mut engine = EvalEngine::new();
+    patterns.iter().all(|p| count(&mut engine, p, g) == count(&mut engine, p, h))
+}
+
+fn count(engine: &mut EvalEngine, p: &Graph, g: &Graph) -> f64 {
+    hom_count_with(engine, p, g).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]

@@ -1,12 +1,13 @@
 //! Property-based tests for homomorphism counting.
 
-use gel_graph::families::{complete, path};
+use gel_graph::families::{complete, cycle, path};
 use gel_graph::random::erdos_renyi;
 use gel_graph::{Graph, GraphBuilder};
+use gel_hom::subgraph::closed_walk_counts;
 use gel_hom::{free_trees_up_to, hom_count, hom_tree, hom_tree_rooted};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Brute-force hom counting by enumerating all maps (tiny instances).
 fn brute_hom(p: &Graph, g: &Graph) -> f64 {
@@ -31,6 +32,20 @@ fn brute_hom(p: &Graph, g: &Graph) -> f64 {
     count as f64
 }
 
+/// A random directed graph: each ordered pair, self-loops included, is
+/// an arc with probability `p`.
+fn random_digraph(n: usize, p: f64, rng: &mut StdRng) -> Graph {
+    let mut b = GraphBuilder::new(n);
+    for u in 0..n as u32 {
+        for v in 0..n as u32 {
+            if rng.gen_bool(p) {
+                b.add_arc(u, v);
+            }
+        }
+    }
+    b.build()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -39,6 +54,32 @@ proptest! {
         let p = erdos_renyi(np, 0.6, &mut StdRng::seed_from_u64(seed));
         let g = erdos_renyi(ng, 0.5, &mut StdRng::seed_from_u64(seed + 1));
         prop_assert_eq!(hom_count(&p, &g), brute_hom(&p, &g));
+    }
+
+    /// Directed patterns with self-loops into directed targets with
+    /// self-loops: the loop atoms `E(x, y)·1[x = y]` and arc
+    /// orientation both meet the oracle.
+    #[test]
+    fn directed_looped_patterns_match_brute_force(
+        seed in 0u64..2_000,
+        np in 1usize..5,
+        ng in 1usize..6,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let p = random_digraph(np, 0.4, &mut rng);
+        let g = random_digraph(ng, 0.5, &mut rng);
+        prop_assert_eq!(hom_count(&p, &g), brute_hom(&p, &g));
+    }
+
+    /// `hom(C_k, G) = tr(A^k)`, the closed walks of length `k`. On up
+    /// to 40 vertices this covers both plans: C3/C4 take the multiway
+    /// join, C5/C6 variable elimination.
+    #[test]
+    fn cycle_homs_are_closed_walks(seed in 0u64..2_000, n in 2usize..41, k in 3usize..7) {
+        let p = 0.05 + (seed % 8) as f64 * 0.05;
+        let g = erdos_renyi(n, p, &mut StdRng::seed_from_u64(seed));
+        let walks: f64 = closed_walk_counts(&g, k).iter().sum();
+        prop_assert_eq!(hom_count(&cycle(k), &g), walks);
     }
 
     #[test]

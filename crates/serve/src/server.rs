@@ -44,7 +44,7 @@ use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 
 use gel_graph::Graph;
-use gel_lang::{analyze, check_against_graph, expr_dag_hash, parse, EvalOptions};
+use gel_lang::{analyze, check_against_graph, expr_dag_hash, parse, EvalOptions, PlanError};
 
 use crate::cache::{Checkout, PlanCache, PlanKey};
 use crate::proto::{
@@ -452,15 +452,17 @@ fn run_eval(
         let mut engine = match state.cache.checkout(key) {
             Checkout::Hit(e) | Checkout::Miss(e) => e,
         };
-        let table = engine.eval(expr, g);
-        let wt = WireTable {
-            vars: table.vars().to_vec(),
-            dim: table.dim() as u32,
-            n: n as u32,
-            data: TableData::Dense(table.data().to_vec()),
+        let out = match engine.try_eval(expr, g) {
+            Ok(table) => Ok(WireTable {
+                vars: table.vars().to_vec(),
+                dim: table.dim() as u32,
+                n: n as u32,
+                data: TableData::Dense(table.data().to_vec()),
+            }),
+            Err(e) => Err(err(ErrorCode::TooLarge, e.to_string())),
         };
         state.cache.put_back(key, engine);
-        return Ok(wt);
+        return out;
     }
     let mut engine = match state.sparse_cache.checkout(key) {
         Checkout::Hit(e) | Checkout::Miss(e) => e,
@@ -489,10 +491,11 @@ fn run_eval(
                 ))
             }
         }
-        Err(e) => Err(err(
+        Err(PlanError::TooDense { len, cap }) => Err(err(
             ErrorCode::TooLarge,
-            format!("plan needs a dense table of {} cells, cap {}", e.len, e.cap),
+            format!("plan needs a dense table of {len} cells, cap {cap}"),
         )),
+        Err(e) => Err(err(ErrorCode::TooLarge, e.to_string())),
     };
     state.sparse_cache.put_back(key, engine);
     out

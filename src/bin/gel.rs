@@ -12,7 +12,7 @@
 //! Graph specs: `cycle:6`, `petersen`, `shrikhande`, `rook`, `cfi-k4`,
 //! `er:20:0.3:7`, `tree:10:3`, `file:graph.el` (see `gelib::spec`).
 
-use gelib::lang::{analyze, eval, parse};
+use gelib::lang::{analyze, parse, try_eval, EvalEngine};
 use gelib::spec::parse_graph_spec;
 use gelib::wl::{cached_cr_equivalent, distinguishing_level};
 
@@ -43,7 +43,7 @@ fn run(args: &[String]) -> Result<(), String> {
         [cmd, expr, spec] if cmd == "eval" => {
             let e = parse(expr).map_err(|e| e.to_string())?;
             let g = parse_graph_spec(spec)?;
-            let table = eval(&e, &g);
+            let table = try_eval(&e, &g).map_err(|e| e.to_string())?;
             match table.vars().len() {
                 0 => println!("value: {:?}", table.value()),
                 1 => {
@@ -78,7 +78,9 @@ fn run(args: &[String]) -> Result<(), String> {
         [cmd, p, t] if cmd == "hom" => {
             let pat = parse_graph_spec(p)?;
             let tgt = parse_graph_spec(t)?;
-            println!("hom({p}, {t}) = {}", gelib::hom::hom_count(&pat, &tgt));
+            let count = gelib::hom::hom_count_with(&mut EvalEngine::new(), &pat, &tgt)
+                .map_err(|e| e.to_string())?;
+            println!("hom({p}, {t}) = {count}");
             Ok(())
         }
         [cmd, spec] if cmd == "dot" => {

@@ -1,0 +1,34 @@
+//! The `gel` command line reports bad input as an error (exit code 1
+//! and a message), never as a panic (exit code 101).
+
+use std::process::{Command, Output};
+
+fn gel(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_gel")).args(args).output().expect("gel runs")
+}
+
+fn assert_error(out: &Output, message: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with(&format!("error: {message}")), "{stderr}");
+}
+
+#[test]
+fn eval_with_an_out_of_range_label_is_an_error() {
+    let out = gel(&["eval", "lab3(x1)", "cycle:4"]);
+    assert_error(&out, "lab3 out of range for label dimension 1");
+}
+
+#[test]
+fn hom_with_a_pattern_past_the_variable_range_is_an_error() {
+    let out = gel(&["hom", "path:256", "cycle:4"]);
+    assert_error(&out, "pattern needs 256 variables");
+}
+
+#[test]
+fn hom_with_a_pattern_too_wide_to_eliminate_is_an_error() {
+    // K12 has induced width 11: its elimination joins 12 variables,
+    // and 50^12 cell ids overflow the engine's keys.
+    let out = gel(&["hom", "complete:12", "cycle:50"]);
+    assert_error(&out, "plan needs a 12-variable intermediate table over 50 vertices");
+}

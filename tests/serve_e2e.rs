@@ -256,3 +256,36 @@ fn wide_sparse_results_are_admitted_dense_ones_rejected() {
     client.ping().expect("connection survives TooLarge");
     server.shutdown();
 }
+
+/// A sum-product whose variable elimination is too wide to key — the
+/// closed 12-clique count on 50 vertices joins 12 variables, and 50^12
+/// cell ids overflow — is a `TooLarge` error, on the dense and the
+/// sparse-output path alike, and the connection survives.
+#[test]
+fn too_wide_eliminations_are_rejected() {
+    use gel_lang::build::{agg_over, apply, edge};
+    use gel_lang::{Agg, Func};
+    let atoms: Vec<Expr> = (1..=12).flat_map(|a| (a + 1..=12).map(move |b| edge(a, b))).collect();
+    let clique = apply(Func::Mul { arity: atoms.len(), dim: 1 }, atoms);
+    let k12 = agg_over(Agg::Sum, (1..=12).collect(), clique.clone(), None);
+    let per_vertex = agg_over(Agg::Sum, (2..=12).collect(), clique, None);
+    // The per-vertex count's 50 cells exceed this cap, so it takes
+    // the sparse-output engine.
+    let server = Server::bind(ServeOptions { max_result_cells: 10, ..ServeOptions::default() })
+        .expect("bind");
+    server.register_graph("c50", gel_graph::families::cycle(50)).expect("register");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    for e in [&k12, &per_vertex] {
+        let err = client.eval_table("c50", e).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                gel_serve::ClientError::Server { code: gel_serve::ErrorCode::TooLarge, msg }
+                    if msg.contains("12-variable intermediate table over 50 vertices")
+            ),
+            "{err:?}"
+        );
+        client.ping().expect("connection survives a too-wide plan");
+    }
+    server.shutdown();
+}
