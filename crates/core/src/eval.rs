@@ -31,11 +31,16 @@ pub struct EvalOptions {
     pub guard_fast_path: bool,
     /// Minimum dense cell count before a node is considered for a
     /// sparse representation (default 4096): below it the dense kernels
-    /// win on constant factors, and the estimated nonzeros must also be
-    /// at most a quarter of the cells. `0` forces sparse everywhere it
-    /// is representable — the property-test and ablation hook;
-    /// `usize::MAX` turns sparse lowering off (the pure dense engine,
-    /// the density sweep's baseline).
+    /// win on constant factors. Two places read it. An edge or equality
+    /// atom, or a scalar product with a sparse factor, goes sparse when
+    /// its table reaches this size and its estimated nonzeros are at
+    /// most a quarter of the cells. A `Sum` or unguarded `Mean` over a
+    /// product of those atoms takes variable elimination or the
+    /// multiway join when the cross product of all its variables
+    /// reaches it. `0` forces sparse everywhere it is representable —
+    /// the property-test and ablation hook; `usize::MAX` turns sparse
+    /// lowering off (the pure dense engine, the density sweep's
+    /// baseline).
     pub sparse_min_cells: usize,
     /// Use the worst-case-optimal multiway join ([`Kind::JoinWco`])
     /// for *cyclic* sum-product queries (default true). `false` keeps

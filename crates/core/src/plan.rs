@@ -27,6 +27,15 @@
 //!   [`Kind::AggNbr`] kernel: CSR neighbour iteration for any number
 //!   of free variables, still gated by the DESIGN.md §6
 //!   `guard_fast_path` ablation flag.
+//! * **Sum-products.** A `Sum`, or an unguarded `Mean`, over a product
+//!   of 0/1 edge/equality atoms is one shape: it lowers to variable
+//!   elimination ([`Kind::AggElim`]) or, on cyclic shapes, the
+//!   worst-case-optimal join ([`Kind::JoinWco`]) over sparse atoms.
+//!   Both compute the exact integer sum; a `Mean` then divides it by
+//!   `n^|over|`, the dense kernel's one division. The only other
+//!   sparse kernel is [`Kind::MulSparse`], a scalar product with a
+//!   sparse factor; every other consumer reads a sparse table through
+//!   its dense slab (DESIGN.md §7).
 //! * **Scratch reuse.** Slabs come from a best-fit pool owned by the
 //!   engine; re-evaluating the same expression shape (E9 probes each
 //!   random expression on both graphs of a pair) hits the cached plan
@@ -48,7 +57,7 @@ use crate::ast::{memo_shared, shared_addr, CmpOp, Expr};
 use crate::eval::EvalOptions;
 use crate::func::{Agg, Func};
 use crate::sparse::{
-    contract_sum, join_multiply, join_multiway, rekey_into, CoordList, JoinScratch, MAX_JOIN_VARS,
+    contract_sum, join_multiply, join_multiway, CoordList, JoinScratch, MAX_JOIN_VARS,
     MAX_WCO_FACTORS,
 };
 use crate::table::{EmbeddingTable, Var};
@@ -201,94 +210,38 @@ const PAR_MIN_WORK: usize = 1 << 14;
 /// index past 255 distinct `u8` variables).
 static ZERO_STRIDES: [usize; 256] = [0; 256];
 
-/// Best-fit recycler for node slabs: `take` prefers the smallest
-/// pooled buffer whose capacity fits, so repeated plans of the same
-/// shapes reach a zero-allocation steady state.
-#[derive(Default)]
-struct SlabPool {
-    slabs: Vec<Vec<f64>>,
+/// Best-fit recycler for node buffers: `take_cap` prefers the smallest
+/// pooled buffer whose capacity fits (the first of equals), so
+/// repeated plans of the same shapes reach a zero-allocation steady
+/// state. Slabs (`f64`) and coordinate lists (`usize`) pool apart;
+/// misses in either feed the [`eval_slab_allocs`] counter, so the CI
+/// smoke gate covers sparse buffers too.
+struct Pool<T> {
+    bufs: Vec<Vec<T>>,
 }
 
-impl SlabPool {
-    fn take(&mut self, len: usize) -> Vec<f64> {
-        let mut best: Option<(usize, usize)> = None;
-        for (i, s) in self.slabs.iter().enumerate() {
-            let c = s.capacity();
-            let tighter = match best {
-                Some((_, bc)) => c < bc,
-                None => true,
-            };
-            if c >= len && tighter {
-                best = Some((i, c));
-            }
-        }
-        let mut s = match best {
-            Some((i, _)) => self.slabs.swap_remove(i),
-            None => {
-                note_slab_alloc(len);
-                Vec::with_capacity(len)
-            }
-        };
-        s.clear();
-        s.resize(len, 0.0);
-        s
-    }
+type SlabPool = Pool<f64>;
+type IdxPool = Pool<usize>;
 
-    /// Like [`Self::take`] but only guarantees *capacity*: the buffer
-    /// comes back empty, for growable (sparse-value) storage.
-    fn take_cap(&mut self, cap: usize) -> Vec<f64> {
-        let mut best: Option<(usize, usize)> = None;
-        for (i, s) in self.slabs.iter().enumerate() {
-            let c = s.capacity();
-            let tighter = match best {
-                Some((_, bc)) => c < bc,
-                None => true,
-            };
-            if c >= cap && tighter {
-                best = Some((i, c));
-            }
-        }
-        let mut s = match best {
-            Some((i, _)) => self.slabs.swap_remove(i),
-            None => {
-                note_slab_alloc(cap);
-                Vec::with_capacity(cap)
-            }
-        };
-        s.clear();
-        s
-    }
-
-    fn put(&mut self, s: Vec<f64>) {
-        if s.capacity() > 0 {
-            self.slabs.push(s);
-        }
+impl<T> Default for Pool<T> {
+    fn default() -> Self {
+        Self { bufs: Vec::new() }
     }
 }
 
-/// The coordinate-buffer sibling of [`SlabPool`] (`Vec<usize>` instead
-/// of `Vec<f64>`). Misses feed the same [`eval_slab_allocs`] counter,
-/// so the CI smoke gate covers sparse buffers too.
-#[derive(Default)]
-struct IdxPool {
-    bufs: Vec<Vec<usize>>,
-}
-
-impl IdxPool {
-    fn take_cap(&mut self, cap: usize) -> Vec<usize> {
-        let mut best: Option<(usize, usize)> = None;
-        for (i, b) in self.bufs.iter().enumerate() {
-            let c = b.capacity();
-            let tighter = match best {
-                Some((_, bc)) => c < bc,
-                None => true,
-            };
-            if c >= cap && tighter {
-                best = Some((i, c));
-            }
-        }
+impl<T> Pool<T> {
+    /// An empty buffer of capacity at least `cap`, for growable
+    /// (sparse) storage.
+    fn take_cap(&mut self, cap: usize) -> Vec<T> {
+        let best = self
+            .bufs
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| b.capacity() >= cap)
+            .min_by_key(|(_, b)| b.capacity())
+            .map(|(i, _)| i);
         let mut b = match best {
-            Some((i, _)) => self.bufs.swap_remove(i),
+            Some(i) => self.bufs.swap_remove(i),
             None => {
                 note_slab_alloc(cap);
                 Vec::with_capacity(cap)
@@ -298,10 +251,19 @@ impl IdxPool {
         b
     }
 
-    fn put(&mut self, b: Vec<usize>) {
+    fn put(&mut self, b: Vec<T>) {
         if b.capacity() > 0 {
             self.bufs.push(b);
         }
+    }
+}
+
+impl SlabPool {
+    /// A zeroed slab of exactly `len` elements.
+    fn take(&mut self, len: usize) -> Vec<f64> {
+        let mut s = self.take_cap(len);
+        s.resize(len, 0.0);
+        s
     }
 }
 
@@ -322,6 +284,13 @@ struct AccSpec {
     inner_strides: Vec<usize>,
 }
 
+/// What a plan node computes. Leaves (`Label`, `LabelVec`, `Edge`,
+/// `CmpEq`, `CmpNe`, `Const`) fill a table from the graph; `Apply`,
+/// `AggDense` and `AggNbr` are the dense kernels every expression can
+/// take. The rest are sparse strategies for sum-product shapes:
+/// `MulSparse` multiplies with a sparse factor, and `AggElim` /
+/// `JoinWco` evaluate a `Sum` or unguarded `Mean` over a product of 0/1
+/// indicator atoms.
 enum Kind {
     Label {
         j: usize,
@@ -356,7 +325,10 @@ enum Kind {
     },
     /// Scalar `Func::Mul` with at least one sparse operand: iterate the
     /// driver's entries (expanded over the output variables it does not
-    /// bind), probe the remaining operands, emit a sparse product.
+    /// bind), probe the remaining operands, emit a sparse product. The
+    /// only kernel that keeps a wide product with a non-indicator factor
+    /// (`E(x1, x2) · lab0(x1)`) sparse, so a capped evaluation can admit
+    /// it.
     MulSparse {
         func: Func,
         args: Vec<MulArg>,
@@ -366,38 +338,12 @@ enum Kind {
         /// Output digit indices the driver does not bind.
         expand_pos: Vec<usize>,
     },
-    /// Unguarded `Sum`/`Mean` whose value is sparse and binds every
-    /// aggregated variable: one streaming pass over the entries.
-    AggSparseValue {
-        agg: Agg,
-        value: usize,
-        /// Per value-coordinate digit: output-coordinate stride (0 for
-        /// aggregated digits).
-        keep_strides: Vec<usize>,
-        inner_cells: usize,
-    },
-    /// Aggregation gated by a sparse scalar guard that binds every
-    /// aggregated variable: per output cell, a binary-searched run of
-    /// guard entries replaces the dense inner odometer.
-    AggSparseGuard {
-        agg: Agg,
-        value: AccSpec,
-        guard: usize,
-        /// Guard-entry re-key strides into `(output part, aggregated
-        /// part)` mixed radix.
-        gkey_strides: Vec<usize>,
-        gkey_identity: bool,
-        /// Per output digit: contribution to the key's output part.
-        gkey_outer: Vec<usize>,
-        /// `n^|over|` — the width of one output cell's key range.
-        over_pow: usize,
-        over_len: usize,
-    },
-    /// `Sum` over a pure product of edge/equality indicators: FAQ-style
-    /// variable elimination in min-degree order (paper slide 70)
-    /// instead of a dense `n^k` sweep. Exact: 0/1 factors make every
-    /// partial sum an integer, so reassociating the sum cannot change
-    /// the float.
+    /// `Sum` or unguarded `Mean` over a pure product of edge/equality
+    /// indicators: FAQ-style variable elimination in min-degree order
+    /// (paper slide 70) instead of a dense `n^k` sweep. Exact: 0/1
+    /// factors make every partial sum an integer, so reassociating the
+    /// sum cannot change the float; a `Mean` then divides that sum
+    /// once, as the dense kernel does.
     AggElim {
         factors: Vec<usize>,
         factor_vars: Vec<Vec<Var>>,
@@ -405,8 +351,10 @@ enum Kind {
         /// Number of aggregated variables in no factor — each multiplies
         /// the (integer) result by `n`, exactly.
         free_over: u32,
+        /// `Some(n^|over|)` for a `Mean`: the divisor of the exact sum.
+        mean_div: Option<f64>,
     },
-    /// `Sum` over a *cyclic* product of 0/1 indicators: the
+    /// [`Kind::AggElim`]'s shape over a *cyclic* product: the
     /// worst-case-optimal multiway join
     /// ([`crate::sparse::join_multiway`]) intersects every factor per
     /// variable of a shared AGM-aware order instead of materializing
@@ -424,6 +372,8 @@ enum Kind {
         n_free: usize,
         /// Aggregated variables in no factor (each multiplies by `n`).
         free_over: u32,
+        /// As in [`Kind::AggElim`].
+        mean_div: Option<f64>,
     },
 }
 
@@ -467,8 +417,6 @@ struct ExecScratch {
     bounds: Vec<usize>,
     /// Sorted-merge-join scratch shared by every sparse kernel.
     join: JoinScratch,
-    /// Re-keyed guard entries of [`Kind::AggSparseGuard`].
-    gkeys: Vec<(usize, u32)>,
     /// Variable-elimination factor arena ([`Kind::AggElim`]): one slot
     /// per factor, plus ping-pong lists for join/contract outputs. All
     /// capacities persist across evaluations, so the warmed path makes
@@ -785,8 +733,6 @@ impl EvalEngine {
                     max_args = max_args.max(args.len());
                     max_q = max_q.max(driver_pos.len());
                 }
-                Kind::AggSparseValue { keep_strides, .. } => max_q = max_q.max(keep_strides.len()),
-                Kind::AggSparseGuard { over_len, .. } => max_q = max_q.max(*over_len),
                 _ => {}
             }
         }
@@ -1100,8 +1046,18 @@ impl EvalEngine {
         // guard, if any) decomposes into a product of 0/1 edge/equality
         // indicators is a sum-product query — contract the aggregated
         // variables in min-degree order over sparse factors instead of
-        // sweeping the dense `n^k` cross product (paper slide 70).
-        if agg == Agg::Sum && !over.is_empty() {
+        // sweeping the dense `n^k` cross product (paper slide 70). An
+        // unguarded `Mean` is the same sum divided by the dense
+        // kernel's count, `n^|over|`; a guarded one counts the passing
+        // cells instead, which no sum-product computes. An outer `None`
+        // keeps the dense kernels (and their overflow check on
+        // `n^|over|`).
+        let mean_div = match (agg, guard) {
+            (Agg::Mean, None) => n.checked_pow(over.len() as u32).map(|c| Some(c as f64)),
+            (Agg::Sum, _) => Some(None),
+            _ => None,
+        };
+        if let (Some(mean_div), false) = (mean_div, over.is_empty()) {
             let mut atoms: Vec<&Expr> = Vec::new();
             let seen = &mut HashMap::new();
             let ok = collect_indicator_atoms(value, &mut atoms, seen)
@@ -1200,7 +1156,14 @@ impl EvalEngine {
                         let mut node = self.make_node(
                             out_vars,
                             1,
-                            Kind::JoinWco { factors, factor_vars, order, n_free, free_over },
+                            Kind::JoinWco {
+                                factors,
+                                factor_vars,
+                                order,
+                                n_free,
+                                free_over,
+                                mean_div,
+                            },
                         );
                         node.sparse = true;
                         node.est_nnz = est.clamp(1, out_cells.max(1));
@@ -1215,7 +1178,7 @@ impl EvalEngine {
                     let node = self.make_node(
                         out_vars,
                         1,
-                        Kind::AggElim { factors, factor_vars, order, free_over },
+                        Kind::AggElim { factors, factor_vars, order, free_over, mean_div },
                     );
                     return (self.push_node(node, key), key);
                 }
@@ -1246,99 +1209,6 @@ impl EvalEngine {
             o
         };
         let dim = self.nodes[vi].dim;
-
-        // Unguarded Sum/Mean over a sparse value that binds every
-        // aggregated variable: stream the entries once. Skipping the
-        // absent (zero) addends is bit-identical — the accumulator
-        // starts at `+0.0` and addition can never make it `-0.0`.
-        if gi.is_none()
-            && self.nodes[vi].sparse
-            && matches!(agg, Agg::Sum | Agg::Mean)
-            && over.iter().all(|v| self.nodes[vi].vars.contains(v))
-        {
-            self.nodes[vi].sparse_used = true;
-            let p_out = out_vars.len();
-            let vvars = self.nodes[vi].vars.clone();
-            let keep_strides: Vec<usize> = vvars
-                .iter()
-                .map(|v| match out_vars.iter().position(|u| u == v) {
-                    Some(pos) => n.pow((p_out - 1 - pos) as u32),
-                    None => 0,
-                })
-                .collect();
-            let inner_cells =
-                n.checked_pow(over_sorted.len() as u32).expect("too many aggregated variables");
-            let node = self.make_node(
-                out_vars,
-                dim,
-                Kind::AggSparseValue { agg, value: vi, keep_strides, inner_cells },
-            );
-            return (self.push_node(node, key), key);
-        }
-
-        // A sparse scalar guard that binds every aggregated variable:
-        // its entry runs replace the dense inner odometer, in the same
-        // per-cell visit order (coordinate order restricted to one
-        // output cell IS the inner odometer order).
-        if let Some(gn) = gi {
-            if self.nodes[gn].sparse
-                && self.nodes[gn].dim == 1
-                && over.iter().all(|v| self.nodes[gn].vars.contains(v))
-            {
-                self.nodes[gn].sparse_used = true;
-                self.nodes[vi].needs_dense = true;
-                let q = over_sorted.len();
-                let over_pow = n.checked_pow(q as u32).expect("too many aggregated variables");
-                let gv = self.nodes[gn].vars.clone();
-                let gout: Vec<Var> =
-                    gv.iter().copied().filter(|v| !over_sorted.contains(v)).collect();
-                let gkey_strides: Vec<usize> = gv
-                    .iter()
-                    .map(|v| match over_sorted.iter().position(|u| u == v) {
-                        Some(r) => n.pow((q - 1 - r) as u32),
-                        None => {
-                            let r2 = gv
-                                .iter()
-                                .filter(|u| !over_sorted.contains(u))
-                                .position(|u| u == v)
-                                .expect("free guard var");
-                            n.pow((gout.len() - 1 - r2) as u32) * over_pow
-                        }
-                    })
-                    .collect();
-                let gkey_identity = gkey_strides
-                    .iter()
-                    .enumerate()
-                    .all(|(i, &ks)| ks == n.pow((gv.len() - 1 - i) as u32));
-                let gkey_outer: Vec<usize> = out_vars
-                    .iter()
-                    .map(|v| match gout.iter().position(|u| u == v) {
-                        Some(r2) => n.pow((gout.len() - 1 - r2) as u32),
-                        None => 0,
-                    })
-                    .collect();
-                let value_spec = AccSpec {
-                    node: vi,
-                    outer_strides: strides_for(&self.nodes[vi].vars, dim, &out_vars, n),
-                    inner_strides: strides_for(&self.nodes[vi].vars, dim, &over_sorted, n),
-                };
-                let node = self.make_node(
-                    out_vars,
-                    dim,
-                    Kind::AggSparseGuard {
-                        agg,
-                        value: value_spec,
-                        guard: gn,
-                        gkey_strides,
-                        gkey_identity,
-                        gkey_outer,
-                        over_pow,
-                        over_len: q,
-                    },
-                );
-                return (self.push_node(node, key), key);
-            }
-        }
 
         self.nodes[vi].needs_dense = true;
         if let Some(gi) = gi {
@@ -1828,55 +1698,34 @@ fn exec_node(
                 densify(sp, out);
             }
         }
-        Kind::AggSparseValue { agg, value, keep_strides, inner_cells } => {
+        Kind::AggElim { factors, factor_vars, order, free_over, mean_div } => {
             let _ss = gel_obs::span("sparse.exec");
-            run_agg_sparse_value(
+            run_agg_elim(
                 nodes,
-                *agg,
-                *value,
-                keep_strides,
-                *inner_cells,
+                factors,
+                factor_vars,
+                order,
+                *free_over,
+                *mean_div,
                 out,
                 n,
-                d,
-                &mut scratch.inner_digits[..keep_strides.len()],
+                scratch,
             );
         }
-        Kind::AggSparseGuard {
-            agg,
-            value,
-            guard,
-            gkey_strides,
-            gkey_identity,
-            gkey_outer,
-            over_pow,
-            over_len,
-        } => {
+        Kind::JoinWco { factors, factor_vars, order, n_free, free_over, mean_div } => {
             let _ss = gel_obs::span("sparse.exec");
-            rekey_into(&nodes[*guard].sp, n, gkey_strides, *gkey_identity, &mut scratch.gkeys);
-            let p = node.vars.len();
-            run_agg_sparse_guard(
+            run_join_wco(
                 nodes,
-                *agg,
-                value,
-                *guard,
-                &scratch.gkeys,
-                gkey_outer,
-                *over_pow,
-                out,
+                factors,
+                factor_vars,
+                order,
+                *n_free,
+                *free_over,
+                *mean_div,
+                sp,
                 n,
-                d,
-                &mut scratch.digits[..p],
-                &mut scratch.inner_digits[..*over_len],
+                scratch,
             );
-        }
-        Kind::AggElim { factors, factor_vars, order, free_over } => {
-            let _ss = gel_obs::span("sparse.exec");
-            run_agg_elim(nodes, factors, factor_vars, order, *free_over, out, n, scratch);
-        }
-        Kind::JoinWco { factors, factor_vars, order, n_free, free_over } => {
-            let _ss = gel_obs::span("sparse.exec");
-            run_join_wco(nodes, factors, factor_vars, order, *n_free, *free_over, sp, n, scratch);
             SPARSE_NNZ.add(sp.len() as u64);
             if node.needs_dense {
                 densify(sp, out);
@@ -2133,110 +1982,17 @@ fn run_mul_sparse(
     sp_out.sort_entries(join);
 }
 
-/// Unguarded `Sum`/`Mean` over a sparse value binding every aggregated
-/// variable: stream the entries, scattering each into its output cell.
-/// Entry order restricted to one output cell is ascending over the
-/// aggregated digits — exactly the dense kernel's inner-odometer fold
-/// order — and skipping absent (`+0.0`) addends cannot change a sum
-/// that starts at `+0.0`, so the result is bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn run_agg_sparse_value(
-    nodes: &[Node],
-    agg: Agg,
-    value: usize,
-    keep_strides: &[usize],
-    inner_cells: usize,
-    out: &mut [f64],
-    n: usize,
-    d: usize,
-    digits: &mut [usize],
-) {
-    out.fill(0.0);
-    let sp = &nodes[value].sp;
-    for (e, &c) in sp.coords().iter().enumerate() {
-        decompose(c, n, digits);
-        let oc = dot(digits, keep_strides);
-        for (a, &v) in out[oc * d..(oc + 1) * d].iter_mut().zip(sp.value(e)) {
-            *a += v;
-        }
-    }
-    if agg == Agg::Mean {
-        // Unguarded Mean divides by the full inner-cell count.
-        let cf = inner_cells as f64;
-        for a in out {
-            *a /= cf;
-        }
-    }
-}
-
-/// Guarded aggregation over a sparse scalar guard binding every
-/// aggregated variable: per output cell, a binary-searched run of
-/// re-keyed guard entries replaces the dense inner odometer. The run
-/// ascends in aggregated-digit order, and stored zeros (a sparse
-/// product may keep explicit zeros) are skipped exactly like the dense
-/// kernel's `!= 0.0` test — same passing cells, same fold order.
-#[allow(clippy::too_many_arguments)]
-fn run_agg_sparse_guard(
-    nodes: &[Node],
-    agg: Agg,
-    value: &AccSpec,
-    guard: usize,
-    gkeys: &[(usize, u32)],
-    gkey_outer: &[usize],
-    over_pow: usize,
-    out: &mut [f64],
-    n: usize,
-    d: usize,
-    digits: &mut [usize],
-    inner_digits: &mut [usize],
-) {
-    let cells = out.len() / d.max(1);
-    if cells == 0 {
-        return;
-    }
-    let vdata = &nodes[value.node].data[..];
-    let gsp = &nodes[guard].sp;
-    digits.fill(0);
-    let mut vbase = 0usize;
-    let mut gbase = 0usize;
-    for c in 0..cells {
-        let cell = &mut out[c * d..(c + 1) * d];
-        cell.fill(0.0);
-        let lo = gbase * over_pow;
-        let hi = lo + over_pow;
-        let start = gkeys.partition_point(|&(k, _)| k < lo);
-        let mut count = 0usize;
-        for &(k, idx) in &gkeys[start..] {
-            if k >= hi {
-                break;
-            }
-            if gsp.value(idx as usize)[0] != 0.0 {
-                decompose(k - lo, n, inner_digits);
-                let voff = vbase + dot(inner_digits, &value.inner_strides);
-                push_acc(agg, cell, &vdata[voff..voff + d], count);
-                count += 1;
-            }
-        }
-        if agg == Agg::Mean && count > 0 {
-            let cf = count as f64;
-            for a in cell {
-                *a /= cf;
-            }
-        }
-        if c + 1 < cells {
-            advance2(digits, n, &value.outer_strides, &mut vbase, gkey_outer, &mut gbase);
-        }
-    }
-}
-
-/// The FAQ-style elimination kernel (`Sum` over a product of 0/1
-/// indicator factors): copy each factor's coordinate list into the
-/// scratch arena, then for each variable of the planned order join all
-/// factors containing it and contract it out with [`contract_sum`];
-/// finally join the survivors and scatter into the dense output,
-/// multiplied by `n^free_over` for aggregated variables no factor
-/// constrains. All arithmetic is on integers below 2^53, so the
-/// reassociated sums are exact — bit-identical to the dense sweep.
+/// The FAQ-style elimination kernel (`Sum` or unguarded `Mean` over a
+/// product of 0/1 indicator factors): copy each factor's coordinate
+/// list into the scratch arena, then for each variable of the planned
+/// order join all factors containing it and contract it out with
+/// [`contract_sum`]; finally join the survivors and scatter into the
+/// dense output, multiplied by `n^free_over` for aggregated variables
+/// no factor constrains. All arithmetic is on integers below 2^53, so
+/// the reassociated sums are exact — bit-identical to the dense sweep.
+/// A `Mean` divides each exact sum by `mean_div` afterwards, the one
+/// division the dense kernel makes (absent cells stay `+0.0`, as
+/// `0.0 / mean_div` would be).
 #[allow(clippy::too_many_arguments)]
 fn run_agg_elim(
     nodes: &[Node],
@@ -2244,6 +2000,7 @@ fn run_agg_elim(
     factor_vars: &[Vec<Var>],
     order: &[Var],
     free_over: u32,
+    mean_div: Option<f64>,
     out: &mut [f64],
     n: usize,
     s: &mut ExecScratch,
@@ -2324,7 +2081,11 @@ fn run_agg_elim(
         let fin = &s.arena[a];
         debug_assert!(fin.coords().iter().all(|&c| c < out.len()));
         for (e, &c) in fin.coords().iter().enumerate() {
-            out[c] = fin.value(e)[0] * mult;
+            let sum = fin.value(e)[0] * mult;
+            out[c] = match mean_div {
+                Some(div) => sum / div,
+                None => sum,
+            };
         }
     }
 }
@@ -2335,8 +2096,9 @@ fn run_agg_elim(
 /// [`crate::sparse::join_multiway`] over the planned order, then scale
 /// every emitted (integer) count by `n^free_over` for aggregated
 /// variables no factor constrains — exact, like `AggElim`'s
-/// multiplier. Arena and join-scratch capacities persist across
-/// evaluations, so the warmed path allocates nothing.
+/// multiplier — and, for a `Mean`, divide it by `mean_div`. Arena and
+/// join-scratch capacities persist across evaluations, so the warmed
+/// path allocates nothing.
 #[allow(clippy::too_many_arguments)]
 fn run_join_wco(
     nodes: &[Node],
@@ -2345,6 +2107,7 @@ fn run_join_wco(
     order: &[Var],
     n_free: usize,
     free_over: u32,
+    mean_div: Option<f64>,
     sp_out: &mut CoordList,
     n: usize,
     s: &mut ExecScratch,
@@ -2363,6 +2126,11 @@ fn run_join_wco(
         let mult = (n as f64).powi(free_over as i32);
         for v in sp_out.values_mut() {
             *v *= mult;
+        }
+    }
+    if let Some(div) = mean_div {
+        for v in sp_out.values_mut() {
+            *v /= div;
         }
     }
     WCO_JOINS.incr();
@@ -2557,12 +2325,14 @@ mod tests {
         assert_eq!(eng.eval(e, g), &want, "cached sparse plan diverged on {e}");
     }
 
-    /// Handcrafted shapes hitting each sparse kernel: the FAQ
-    /// elimination pass (pure indicator sum-products, with and without
-    /// free aggregated variables, equality atoms, and indicator
-    /// guards), the sparse product (`MulSparse`), the streaming
-    /// unguarded aggregation (`AggSparseValue`), and the run-probed
-    /// guarded aggregation (`AggSparseGuard`).
+    /// Handcrafted shapes for the sparse paths, each checked on the
+    /// dense engine and the forced-sparse one against the oracle: the
+    /// FAQ elimination pass and the multiway join (pure indicator
+    /// `Sum` and unguarded `Mean` sum-products, with and without free
+    /// aggregated variables, equality atoms, and indicator guards),
+    /// and the sparse product (`MulSparse`) densified into the dense
+    /// aggregation kernel, as value or as guard. The `Mean` shapes must
+    /// also match the dense engine bit for bit.
     #[test]
     fn sparse_kernels_match_dense_on_handcrafted_shapes() {
         let mut rng = StdRng::seed_from_u64(0x5EED);
@@ -2571,7 +2341,7 @@ mod tests {
         let exprs = vec![
             // AggElim: triangles at a vertex, global triangle count.
             agg_over(Agg::Sum, vec![2, 3], tri.clone(), None),
-            agg_over(Agg::Sum, vec![1, 2, 3], tri, None),
+            agg_over(Agg::Sum, vec![1, 2, 3], tri.clone(), None),
             // AggElim with an equality atom collapsing two variables.
             agg_over(
                 Agg::Sum,
@@ -2584,46 +2354,128 @@ mod tests {
             agg_over(Agg::Sum, vec![2], edge(1, 2), Some(edge(2, 1))),
             // AggElim with a free aggregated variable (×n multiplier).
             agg_over(Agg::Sum, vec![2, 3], edge(1, 2), None),
-            // MulSparse (edge × dense label) then AggSparseValue.
+            // MulSparse (edge × dense label), densified for AggDense.
             agg_over(Agg::Sum, vec![2], mul2(edge(1, 2), lab(0, 2)), None),
             agg_over(Agg::Mean, vec![2], mul2(edge(1, 2), lab(1, 2)), None),
-            // MulSparse products feeding Max force the dense fallback.
             agg_over(Agg::Max, vec![2], mul2(edge(1, 2), lab(0, 2)), None),
-            // AggSparseGuard via a sparse (product) guard binding x2 —
-            // not an edge atom, so the AggNbr fast path stays out.
+            // A sparse (product) guard binding x2 — not an edge atom, so
+            // the AggNbr fast path stays out.
             agg_over(Agg::Min, vec![2], lab(0, 2), Some(mul2(edge(1, 2), edge(2, 1)))),
             agg_over(Agg::Mean, vec![2], lab_vec(2, 2), Some(mul2(edge(1, 2), edge(2, 1)))),
         ];
-        for e in &exprs {
+        let means = vec![
+            // AggElim: the mean out-degree of x1 …
+            agg_over(Agg::Mean, vec![2], edge(1, 2), None),
+            // … the closed triangle mean …
+            agg_over(Agg::Mean, vec![1, 2, 3], tri.clone(), None),
+            // … and x3 in no atom (×n, then ÷n²).
+            agg_over(Agg::Mean, vec![2, 3], edge(1, 2), None),
+            // JoinWco: 4-cycles through x1 and x4.
+            agg_over(
+                Agg::Mean,
+                vec![2, 3],
+                apply(
+                    Func::Mul { arity: 4, dim: 1 },
+                    vec![edge(1, 2), edge(2, 3), edge(3, 4), edge(1, 4)],
+                ),
+                None,
+            ),
+        ];
+        for e in exprs.iter().chain(&means) {
             for fast in [true, false] {
                 assert_sparse_matches_dense(e, &g, fast);
             }
         }
-        // Single-edge guard with the fast path ablated: AggSparseGuard
-        // carries the MPNN shape.
+        // Single-edge guard with the fast path ablated: the MPNN shape
+        // on the dense aggregation kernel.
         let mpnn = agg_over(Agg::Sum, vec![2], lab(0, 2), Some(edge(1, 2)));
         assert_sparse_matches_dense(&mpnn, &g, false);
+        let dense_opts = EvalOptions { sparse_min_cells: usize::MAX, ..EvalOptions::default() };
+        for e in &means {
+            let want = bits(EvalEngine::with_options(dense_opts).eval(e, &g));
+            let got = bits(EvalEngine::with_options(forced_sparse(true)).eval(e, &g));
+            assert_eq!(got, want, "elimination diverged in the bits on {e}");
+        }
+    }
+
+    fn bits(t: &EmbeddingTable) -> Vec<u64> {
+        t.data().iter().map(|v| v.to_bits()).collect()
     }
 
     /// The elimination pass replaces the Apply + dense-aggregate pair
     /// with a single plan node over the (3) edge factors — a structural
-    /// probe that the `AggElim` gate actually fires.
+    /// probe that the gate actually fires, for `Sum` and for an
+    /// unguarded `Mean`.
     #[test]
     fn elimination_collapses_sum_product_plans() {
         let g = cycle(7);
         let tri = apply(Func::Mul { arity: 3, dim: 1 }, vec![edge(1, 2), edge(2, 3), edge(1, 3)]);
-        let e = agg_over(Agg::Sum, vec![1, 2, 3], tri, None);
-        let mut eng = EvalEngine::with_options(forced_sparse(true));
-        // 6 · #triangles(C7) = 0.
-        assert_eq!(eng.eval(&e, &g).value(), &[0.0]);
-        // 3 edge atoms + 1 AggElim node; the dense plan needs 5.
-        assert_eq!(eng.plan_nodes(), 4);
-        let mut dense = EvalEngine::with_options(EvalOptions {
-            sparse_min_cells: usize::MAX,
-            ..EvalOptions::default()
-        });
-        dense.eval(&e, &g);
-        assert_eq!(dense.plan_nodes(), 5);
+        for agg in [Agg::Sum, Agg::Mean] {
+            let e = agg_over(agg, vec![1, 2, 3], tri.clone(), None);
+            let mut eng = EvalEngine::with_options(forced_sparse(true));
+            // 6 · #triangles(C7) = 0.
+            assert_eq!(eng.eval(&e, &g).value(), &[0.0]);
+            // 3 edge atoms + 1 sum-product node; the dense plan needs 5.
+            assert_eq!(eng.plan_nodes(), 4, "{agg:?}");
+            let mut dense = EvalEngine::with_options(EvalOptions {
+                sparse_min_cells: usize::MAX,
+                ..EvalOptions::default()
+            });
+            dense.eval(&e, &g);
+            assert_eq!(dense.plan_nodes(), 5, "{agg:?}");
+        }
+    }
+
+    /// `mean_{over} Π atoms`: one to five random edge or equality atoms
+    /// over x1..x4 on an ER graph with 3 to 23 vertices, aggregating a
+    /// random non-empty subset of x1..x5 (x5 is in no atom).
+    fn random_mean_probe(seed: u64) -> (Graph, Expr) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(3..=23);
+        let p = rng.gen_range(0.05..0.5);
+        let g = gel_graph::random::erdos_renyi(n, p, &mut rng);
+        let arity = rng.gen_range(1..=5);
+        let atoms: Vec<Expr> = (0..arity)
+            .map(|_| {
+                let a: Var = rng.gen_range(1..=4);
+                let b: Var = (a + rng.gen_range(0..3u8)) % 4 + 1;
+                if rng.gen_bool(0.8) {
+                    edge(a, b)
+                } else {
+                    eq(a, b)
+                }
+            })
+            .collect();
+        let mut over: Vec<Var> = (1..=5).filter(|_| rng.gen_bool(0.5)).collect();
+        if over.is_empty() {
+            over.push(rng.gen_range(1..=5));
+        }
+        let value = if arity == 1 {
+            atoms.into_iter().next().unwrap()
+        } else {
+            apply(Func::Mul { arity, dim: 1 }, atoms)
+        };
+        (g, agg_over(Agg::Mean, over, value, None))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        // An unguarded `Mean` over indicator atoms takes AggElim or
+        // JoinWco (forced sparse, and at default options once the
+        // cross product reaches 4096 cells). Its table must equal the
+        // pure dense engine's bit for bit: `assert_eq` on tables would
+        // let a `-0.0` pass for `+0.0`.
+        #[test]
+        fn unguarded_mean_elimination_is_bit_identical_to_dense(seed in 0u64..1_000_000) {
+            let (g, e) = random_mean_probe(seed);
+            let dense = EvalOptions { sparse_min_cells: usize::MAX, ..EvalOptions::default() };
+            let want = bits(EvalEngine::with_options(dense).eval(&e, &g));
+            for opts in [forced_sparse(true), EvalOptions::default()] {
+                let mut eng = EvalEngine::with_options(opts);
+                prop_assert_eq!(&bits(eng.eval(&e, &g)), &want, "{}", e);
+                prop_assert_eq!(&bits(eng.eval(&e, &g)), &want, "cached plan on {}", e);
+            }
+        }
     }
 
     /// The sparse kernels are serial, so thread count must not change a

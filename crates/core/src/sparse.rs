@@ -7,10 +7,10 @@
 //! ids — exactly the indices of [`crate::table::EmbeddingTable`]'s
 //! dense layout, so a coordinate list is the dense slab with the zero
 //! cells elided and the survivors kept in the same (lexicographic)
-//! order. Keeping the dense order is load-bearing: the aggregation
-//! kernels in `plan.rs` replay the dense fold order over the stored
-//! entries, which is what makes sparse and dense evaluation
-//! bit-identical rather than merely close.
+//! order. Keeping the dense order is load-bearing: `plan.rs` scatters
+//! a list into its dense slab and probes or joins lists by cell id
+//! without re-sorting, and a sparse result table lists its cells in
+//! the dense table's order.
 //!
 //! **Invariants** (checked by [`CoordList::is_strictly_sorted`] and
 //! property-tested below): coordinates strictly ascending — sorted and
@@ -311,10 +311,8 @@ pub const MAX_JOIN_VARS: usize = 16;
 /// per-position key strides, as `(key, entry index)` pairs sorted by
 /// key. Skips the sort when the remap is the identity (keys already
 /// ascend with the coords). The per-entry digit decompose is cheap: the
-/// number of positions is bounded by expression arity. Shared with
-/// `plan.rs`, whose sparse-guard kernel re-keys guard entries into
-/// `(output part, aggregated part)` order the same way.
-pub(crate) fn rekey_into(
+/// number of positions is bounded by expression arity.
+fn rekey_into(
     src: &CoordList,
     n: usize,
     key_strides: &[usize],

@@ -434,11 +434,13 @@ fn admit(state: &Arc<Shared>) -> Result<InflightGuard<'_>, Response> {
 
 /// Evaluates one pre-flighted expression on `g` through the
 /// appropriate engine cache, returning the result as a wire table.
-/// Wide results use a sparse-output engine under a dense-slab cap:
-/// a plan that keeps every intermediate (and the root) sparse within
-/// [`ServeOptions::max_result_cells`] ships its nonzeros; one that
-/// needs an over-cap dense slab is rejected with `TooLarge` before
-/// that slab is ever allocated.
+/// Both paths evaluate under a dense-slab cap of
+/// [`ServeOptions::max_result_cells`]: a plan that needs a bigger dense
+/// slab, result or intermediate, is rejected with `TooLarge` before
+/// that slab is ever allocated. Narrow results come back dense; wide
+/// ones use a sparse-output engine, and a plan that keeps every
+/// intermediate (and the root) sparse within the cap ships its
+/// nonzeros.
 fn run_eval(
     state: &Arc<Shared>,
     g: &Graph,
@@ -448,26 +450,17 @@ fn run_eval(
     let n = g.num_vertices();
     let key = PlanKey { dag_hash: expr_dag_hash(expr), n, label_dim: g.label_dim() };
     let cap = state.opts.max_result_cells;
-    if !pre.wide {
-        let mut engine = match state.cache.checkout(key) {
-            Checkout::Hit(e) | Checkout::Miss(e) => e,
-        };
-        let out = match engine.try_eval(expr, g) {
-            Ok(table) => Ok(WireTable {
-                vars: table.vars().to_vec(),
-                dim: table.dim() as u32,
-                n: n as u32,
-                data: TableData::Dense(table.data().to_vec()),
-            }),
-            Err(e) => Err(err(ErrorCode::TooLarge, e.to_string())),
-        };
-        state.cache.put_back(key, engine);
-        return out;
-    }
-    let mut engine = match state.sparse_cache.checkout(key) {
+    let cache = if pre.wide { &state.sparse_cache } else { &state.cache };
+    let mut engine = match cache.checkout(key) {
         Checkout::Hit(e) | Checkout::Miss(e) => e,
     };
     let out = match engine.try_eval_capped(expr, g, cap) {
+        Ok(table) if !pre.wide => Ok(WireTable {
+            vars: table.vars().to_vec(),
+            dim: table.dim() as u32,
+            n: n as u32,
+            data: TableData::Dense(table.data().to_vec()),
+        }),
         Ok(table) => {
             // Coordinates cost one u64 each on the wire, so the
             // admitted payload is still bounded by the result cap.
@@ -497,7 +490,7 @@ fn run_eval(
         )),
         Err(e) => Err(err(ErrorCode::TooLarge, e.to_string())),
     };
-    state.sparse_cache.put_back(key, engine);
+    cache.put_back(key, engine);
     out
 }
 

@@ -212,10 +212,11 @@ fn batched_eval_matches_singletons_bit_for_bit() {
 /// `max_result_cells` but whose plan stays sparse end to end is now
 /// answered with a sparse table (bit-identical to an uncapped direct
 /// engine run) instead of `TooLarge` — while a genuinely dense wide
-/// query is still rejected.
+/// query is still rejected. The edge atom and the sparse product
+/// `E(x1,x2) · lab0(x1)` (`MulSparse`) are the two admitted shapes.
 #[test]
 fn wide_sparse_results_are_admitted_dense_ones_rejected() {
-    use gel_lang::build::{add2, edge, lab};
+    use gel_lang::build::{add2, edge, lab, mul2};
     let mut rng = StdRng::seed_from_u64(0x51DE);
     let g = with_random_real_labels(&erdos_renyi(80, 0.05, &mut rng), LABEL_DIM, &mut rng);
     // Dense result: 80² = 6400 cells; cap far below it.
@@ -224,25 +225,26 @@ fn wide_sparse_results_are_admitted_dense_ones_rejected() {
     server.register_graph("g", g.clone()).expect("register");
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
-    let e = edge(1, 2);
-    let wt = client.eval_table("g", &e).expect("sparse-admissible eval");
-    let TableData::Sparse { coords, values } = &wt.data else {
-        panic!("wide low-nnz result must ship sparse")
-    };
-    // Bit-identical to an uncapped direct engine run.
-    let mut engine = EvalEngine::new();
-    let want = engine.eval(&e, &g);
-    assert_eq!(coords.len(), g.num_arcs());
-    for (&c, v) in coords.iter().zip(values) {
-        assert_eq!(v.to_bits(), want.data()[c as usize].to_bits());
+    for e in [edge(1, 2), mul2(edge(1, 2), lab(0, 1))] {
+        let wt = client.eval_table("g", &e).expect("sparse-admissible eval");
+        let TableData::Sparse { coords, values } = &wt.data else {
+            panic!("wide low-nnz result must ship sparse: {e}")
+        };
+        // Bit-identical to an uncapped direct engine run.
+        let mut engine = EvalEngine::new();
+        let want = engine.eval(&e, &g);
+        assert_eq!(coords.len(), g.num_arcs());
+        for (&c, v) in coords.iter().zip(values) {
+            assert_eq!(v.to_bits(), want.data()[c as usize].to_bits());
+        }
+        assert_eq!(
+            values.iter().filter(|&&v| v != 0.0).count(),
+            want.data().iter().filter(|&&v| v != 0.0).count()
+        );
+        // Warm replay: same bytes, served from the sparse engine cache.
+        let wt2 = client.eval_table("g", &e).expect("warm sparse eval");
+        assert_eq!(wt2, wt);
     }
-    assert_eq!(
-        values.iter().filter(|&&v| v != 0.0).count(),
-        want.data().iter().filter(|&&v| v != 0.0).count()
-    );
-    // Warm replay: same bytes, served from the sparse engine cache.
-    let wt2 = client.eval_table("g", &e).expect("warm sparse eval");
-    assert_eq!(wt2, wt);
 
     // A wide query that genuinely needs a dense table keeps the old
     // TooLarge rejection.
@@ -254,6 +256,49 @@ fn wide_sparse_results_are_admitted_dense_ones_rejected() {
     ));
     // And the connection is still healthy.
     client.ping().expect("connection survives TooLarge");
+    server.shutdown();
+}
+
+/// A narrow request (small result) is evaluated under the same
+/// dense-slab cap as a wide one: the closed
+/// `sum_{x1,x2,x3}(add(E(x1,x2), E(x2,x3)))` has one result cell but
+/// plans an `n^3` dense `Apply` slab, so it is `TooLarge` and the
+/// connection survives. An unguarded `mean_{x2} E(x1,x2)` on a graph
+/// whose `n^2` exceeds the cap is still answered, bit-identical to the
+/// dense engine: its plan eliminates over the sparse edge atom.
+#[test]
+fn narrow_requests_evaluate_under_the_cap() {
+    use gel_lang::build::{add2, agg_over, edge};
+    use gel_lang::{Agg, EvalOptions};
+    let mut rng = StdRng::seed_from_u64(0xCA9);
+    let server = Server::bind(ServeOptions { max_result_cells: 10_000, ..ServeOptions::default() })
+        .expect("bind");
+    server.register_graph("n40", erdos_renyi(40, 0.1, &mut rng)).expect("register");
+    let g120 = erdos_renyi(120, 0.05, &mut rng);
+    server.register_graph("n120", g120.clone()).expect("register");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+
+    let slab = agg_over(Agg::Sum, vec![1, 2, 3], add2(edge(1, 2), edge(2, 3)), None);
+    let err = client.eval_table("n40", &slab).unwrap_err();
+    assert!(
+        matches!(
+            &err,
+            gel_serve::ClientError::Server { code: gel_serve::ErrorCode::TooLarge, msg }
+                if msg.contains("64000 cells, cap 10000")
+        ),
+        "{err:?}"
+    );
+    client.ping().expect("connection survives an over-cap narrow plan");
+
+    let mean = agg_over(Agg::Mean, vec![2], edge(1, 2), None);
+    let wt = client.eval_table("n120", &mean).expect("elimination fits the cap");
+    let TableData::Dense(data) = &wt.data else { panic!("narrow results come back dense") };
+    let mut dense = EvalEngine::with_options(EvalOptions {
+        sparse_min_cells: usize::MAX,
+        ..Default::default()
+    });
+    let want: Vec<u64> = dense.eval(&mean, &g120).data().iter().map(|v| v.to_bits()).collect();
+    assert_eq!(data.iter().map(|v| v.to_bits()).collect::<Vec<u64>>(), want);
     server.shutdown();
 }
 
