@@ -42,13 +42,12 @@ pub struct EvalOptions {
     /// lowering off (the pure dense engine, the density sweep's
     /// baseline).
     pub sparse_min_cells: usize,
-    /// Use the worst-case-optimal multiway join ([`Kind::JoinWco`])
-    /// for *cyclic* sum-product queries (default true). `false` keeps
-    /// the binary merge-join `AggElim` plan on cyclic shapes — the
-    /// ablation baseline the bench crossover sweep compares against.
-    /// Acyclic queries take the FAQ elimination path either way.
-    ///
-    /// [`Kind::JoinWco`]: crate::plan::EvalEngine
+    /// Contract *cyclic* sum-product queries with the worst-case-optimal
+    /// multiway join (default true). `false` keeps variable elimination
+    /// by binary merge-joins on cyclic shapes — the ablation baseline
+    /// the bench crossover sweep compares against. Acyclic queries
+    /// eliminate either way; both strategies emit the same sparse
+    /// table.
     pub wco: bool,
     /// Allow the *root* table to stay sparse (default false): when the
     /// plan root already emits a coordinate list, skip the final

@@ -28,14 +28,14 @@
 //!   of free variables, still gated by the DESIGN.md §6
 //!   `guard_fast_path` ablation flag.
 //! * **Sum-products.** A `Sum`, or an unguarded `Mean`, over a product
-//!   of 0/1 edge/equality atoms is one shape: it lowers to variable
-//!   elimination ([`Kind::AggElim`]) or, on cyclic shapes, the
-//!   worst-case-optimal join ([`Kind::JoinWco`]) over sparse atoms.
-//!   Both compute the exact integer sum; a `Mean` then divides it by
-//!   `n^|over|`, the dense kernel's one division. The only other
-//!   sparse kernel is [`Kind::MulSparse`], a scalar product with a
-//!   sparse factor; every other consumer reads a sparse table through
-//!   its dense slab (DESIGN.md §7).
+//!   of 0/1 edge/equality atoms is one plan node, [`Kind::SumProduct`],
+//!   over sparse atoms. Its [`SumProductStrategy`] is variable
+//!   elimination or, on cyclic shapes, the worst-case-optimal join.
+//!   Both compute the exact integer sums into one sparse output; a
+//!   `Mean` then divides them by `n^|over|`, the dense kernel's one
+//!   division. The only other sparse kernel is [`Kind::MulSparse`], a
+//!   scalar product with a sparse factor; every other consumer reads a
+//!   sparse table through its dense slab (DESIGN.md §7).
 //! * **Scratch reuse.** Slabs come from a best-fit pool owned by the
 //!   engine; re-evaluating the same expression shape (E9 probes each
 //!   random expression on both graphs of a pair) hits the cached plan
@@ -106,8 +106,10 @@ pub fn eval_sparse_nnz() -> u64 {
 /// Times a sparse node had to scatter its entries into a dense slab
 /// because some consumer (or the root) reads the dense layout (the
 /// `eval.sparse.fallbacks` counter), since the last
-/// [`gel_obs::reset`]. A steadily climbing count signals a plan whose
-/// representation choices fight each other.
+/// [`gel_obs::reset`]. A sum-product is always sparse, so one read
+/// densely counts once per evaluation; beyond that, a steadily
+/// climbing count signals a plan whose representation choices fight
+/// each other.
 pub fn eval_dense_fallbacks() -> u64 {
     DENSE_FALLBACKS.get()
 }
@@ -122,8 +124,8 @@ pub fn eval_wco_seeks() -> u64 {
     WCO_SEEKS.get()
 }
 
-/// Worst-case-optimal multiway joins executed ([`Kind::JoinWco`]
-/// kernel invocations).
+/// Worst-case-optimal multiway joins executed ([`Kind::SumProduct`]
+/// runs with the [`SumProductStrategy::Join`] strategy).
 static WCO_JOINS: gel_obs::Counter = gel_obs::Counter::new("eval.wco.joins");
 static WCO_SEEKS: gel_obs::Counter = gel_obs::Counter::new("eval.wco.seeks");
 
@@ -169,6 +171,14 @@ pub enum PlanError {
         /// Vertex count of the graph.
         n: usize,
     },
+    /// An eliminated sum-product's output bound (its `est_nnz`)
+    /// exceeds the caller's cap.
+    TooManyEntries {
+        /// Upper bound on the output's entries.
+        bound: usize,
+        /// The caller's cap.
+        cap: usize,
+    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -182,20 +192,31 @@ impl std::fmt::Display for PlanError {
                 "plan needs a {vars}-variable intermediate table over {n} vertices, \
                  past the sparse kernels' cell-id range"
             ),
+            PlanError::TooManyEntries { bound, cap } => {
+                write!(f, "plan's sum-product may emit up to {bound} entries (cap {cap})")
+            }
         }
     }
 }
 
 impl std::error::Error for PlanError {}
 
-/// The [`PlanError::TooDense`] pre-pass: every node that will own a dense slab
-/// (dense representation, or sparse with a dense consumer) must fit
-/// under the cap.
-fn check_dense_cap(nodes: &[Node], cap: Option<usize>) -> Result<(), PlanError> {
+/// The cap pre-pass: every dense slab a node will own, and every
+/// eliminated sum-product's output bound, must fit under the cap. Other
+/// sparse lists are bounded only by their callers' result checks
+/// (DESIGN.md §10).
+fn check_cap(nodes: &[Node], cap: Option<usize>) -> Result<(), PlanError> {
     let Some(cap) = cap else { return Ok(()) };
     for nd in nodes {
         if (!nd.sparse || nd.needs_dense) && nd.len > cap {
             return Err(PlanError::TooDense { len: nd.len, cap });
+        }
+        let eliminated = matches!(
+            nd.kind,
+            Kind::SumProduct { strategy: SumProductStrategy::Eliminate { .. }, .. }
+        );
+        if eliminated && nd.est_nnz > cap {
+            return Err(PlanError::TooManyEntries { bound: nd.est_nnz, cap });
         }
     }
     Ok(())
@@ -287,10 +308,9 @@ struct AccSpec {
 /// What a plan node computes. Leaves (`Label`, `LabelVec`, `Edge`,
 /// `CmpEq`, `CmpNe`, `Const`) fill a table from the graph; `Apply`,
 /// `AggDense` and `AggNbr` are the dense kernels every expression can
-/// take. The rest are sparse strategies for sum-product shapes:
-/// `MulSparse` multiplies with a sparse factor, and `AggElim` /
-/// `JoinWco` evaluate a `Sum` or unguarded `Mean` over a product of 0/1
-/// indicator atoms.
+/// take. The rest are sparse: `MulSparse` multiplies with a sparse
+/// factor, and `SumProduct` evaluates a `Sum` or unguarded `Mean` over
+/// a product of 0/1 indicator atoms.
 enum Kind {
     Label {
         j: usize,
@@ -339,41 +359,37 @@ enum Kind {
         expand_pos: Vec<usize>,
     },
     /// `Sum` or unguarded `Mean` over a pure product of edge/equality
-    /// indicators: FAQ-style variable elimination in min-degree order
-    /// (paper slide 70) instead of a dense `n^k` sweep. Exact: 0/1
-    /// factors make every partial sum an integer, so reassociating the
-    /// sum cannot change the float; a `Mean` then divides that sum
+    /// indicators, evaluated by `strategy` over the factors' sparse
+    /// lists into a sparse output instead of a dense `n^k` sweep. Exact:
+    /// 0/1 factors make every partial sum an integer, so reassociating
+    /// the sum cannot change the float; a `Mean` then divides that sum
     /// once, as the dense kernel does.
-    AggElim {
+    SumProduct {
         factors: Vec<usize>,
         factor_vars: Vec<Vec<Var>>,
-        order: Vec<Var>,
+        strategy: SumProductStrategy,
         /// Number of aggregated variables in no factor — each multiplies
         /// the (integer) result by `n`, exactly.
         free_over: u32,
         /// `Some(n^|over|)` for a `Mean`: the divisor of the exact sum.
         mean_div: Option<f64>,
     },
-    /// [`Kind::AggElim`]'s shape over a *cyclic* product: the
-    /// worst-case-optimal multiway join
-    /// ([`crate::sparse::join_multiway`]) intersects every factor per
-    /// variable of a shared AGM-aware order instead of materializing
-    /// binary-join intermediates that can exceed the output size
-    /// (triangles, k-cycles, k-cliques). Emits a sparse output —
-    /// free variables lead the order ascending, so entries emerge in
-    /// dense layout order.
-    JoinWco {
-        factors: Vec<usize>,
-        factor_vars: Vec<Vec<Var>>,
+}
+
+/// How a [`Kind::SumProduct`] contracts its factors.
+enum SumProductStrategy {
+    /// FAQ-style variable elimination in min-degree order (paper slide
+    /// 70): join the factors holding each variable, sum it out.
+    Eliminate { order: Vec<Var> },
+    /// The worst-case-optimal multiway join
+    /// ([`crate::sparse::join_multiway`]) for *cyclic* products: every
+    /// factor is intersected per variable of one AGM-aware order, so no
+    /// binary-join intermediate can exceed the output size (triangles,
+    /// k-cycles, k-cliques).
+    Join {
         /// Free variables (ascending) then eliminated variables in the
-        /// AGM-aware order from [`gel_graph::elim::wco_order_masked`].
+        /// order from [`gel_graph::elim::wco_order_masked`].
         order: Vec<Var>,
-        /// Length of the free prefix of `order`.
-        n_free: usize,
-        /// Aggregated variables in no factor (each multiplies by `n`).
-        free_over: u32,
-        /// As in [`Kind::AggElim`].
-        mean_div: Option<f64>,
     },
 }
 
@@ -401,7 +417,9 @@ struct Node {
     needs_dense: bool,
     /// Some consumer reads the sparse entries.
     sparse_used: bool,
-    /// Lowering-time nonzero estimate; sizes the pooled buffers.
+    /// Lowering-time nonzero estimate; sizes the pooled buffers. Exact
+    /// for atoms, and a sound bound for a sum-product (`check_cap`
+    /// relies on it); `MulSparse`'s may undershoot.
     est_nnz: usize,
 }
 
@@ -417,8 +435,8 @@ struct ExecScratch {
     bounds: Vec<usize>,
     /// Sorted-merge-join scratch shared by every sparse kernel.
     join: JoinScratch,
-    /// Variable-elimination factor arena ([`Kind::AggElim`]): one slot
-    /// per factor, plus ping-pong lists for join/contract outputs. All
+    /// Sum-product factor arena ([`Kind::SumProduct`]): one slot per
+    /// factor, plus ping-pong lists for join/contract outputs. All
     /// capacities persist across evaluations, so the warmed path makes
     /// no allocations.
     arena: Vec<CoordList>,
@@ -431,11 +449,10 @@ struct ExecScratch {
     tmp2_vars: Vec<Var>,
 }
 
-/// Plan-cache identity: the expression's DAG hash, the graph shape
-/// (`n`, `label_dim`), and every lowering-relevant [`EvalOptions`]
-/// field (`guard_fast_path`, `sparse_min_cells`, `wco`,
-/// `sparse_output`) — a cached plan is reusable only when all match.
-type PlanCacheKey = (u64, usize, usize, bool, usize, bool, bool);
+/// Plan-cache identity: the expression's DAG hash and the graph shape
+/// (`n`, `label_dim`). An engine's [`EvalOptions`] are fixed at
+/// [`EvalEngine::with_options`], so they need no place in the key.
+type PlanCacheKey = (u64, usize, usize);
 
 /// The compiled evaluation engine. Owns the lowered plan, every
 /// intermediate slab, and the output table; repeated [`Self::eval`]
@@ -536,7 +553,8 @@ impl EvalEngine {
 
     /// Like [`Self::eval`], but fails — *before* lowering allocates any
     /// storage — when some plan node needs a dense slab larger than
-    /// `cap` elements. With [`EvalOptions::sparse_output`] set, plans
+    /// `cap` elements, or an eliminated sum-product may emit more than
+    /// `cap` entries. With [`EvalOptions::sparse_output`] set, plans
     /// whose root (and intermediates) stay sparse evaluate under a cap
     /// far below `n^width · dim`; the `gel-serve` layer uses this to
     /// admit large-n/low-nnz queries its dense size precheck rejects.
@@ -629,20 +647,12 @@ impl EvalEngine {
         // `structural_hash` would unfold the DAG.
         self.hash_memo.clear();
         let root_hash = dag_hash(expr, &mut self.hash_memo);
-        let key = (
-            root_hash,
-            g.num_vertices(),
-            g.label_dim(),
-            self.opts.guard_fast_path,
-            self.opts.sparse_min_cells,
-            self.opts.wco,
-            self.opts.sparse_output,
-        );
+        let key = (root_hash, g.num_vertices(), g.label_dim());
         if self.cache_key == Some(key) {
             // The cap is not part of the cache key: re-verify it
             // against the cached plan's dense slabs (cheap — node
             // counts are small).
-            return check_dense_cap(&self.nodes, cap);
+            return check_cap(&self.nodes, cap);
         }
         let _sp = gel_obs::span("eval.lower");
         self.cache_key = None;
@@ -687,27 +697,30 @@ impl EvalEngine {
         // Dense-slab cap check *before* the deferred buffer allocation:
         // nothing has been allocated yet, so an error leaves only the
         // recyclable plan skeleton behind.
-        check_dense_cap(&self.nodes, cap)?;
+        check_cap(&self.nodes, cap)?;
+        // Sparse lists reserve their bound, at most the cap (the bound
+        // can dwarf the real output), and grow on demand.
+        let reserve =
+            |nd: &Node| nd.est_nnz.max(1).min(nd.len.max(1)).min(cap.unwrap_or(usize::MAX).max(1));
         for i in 0..self.nodes.len() {
-            let (len, dim, sparse, needs_dense, est) = {
+            let (len, dim, sparse, needs_dense, entries) = {
                 let nd = &self.nodes[i];
-                (nd.len, nd.dim, nd.sparse, nd.needs_dense, nd.est_nnz)
+                (nd.len, nd.dim, nd.sparse, nd.needs_dense, reserve(nd))
             };
             if !sparse || needs_dense {
                 self.nodes[i].data = self.pool.take(len);
             }
             if sparse {
-                let cap = est.max(1).min(len.max(1));
-                let coords = self.idx_pool.take_cap(cap);
-                let vals = self.pool.take_cap(cap * dim.max(1));
+                let coords = self.idx_pool.take_cap(entries);
+                let vals = self.pool.take_cap(entries * dim.max(1));
                 self.nodes[i].sp = CoordList::with_buffers(dim, coords, vals);
             }
         }
         if self.root_sparse {
             let root = &self.nodes[self.root];
-            let cap_est = root.est_nnz.max(1).min(root.len.max(1));
-            let coords = self.idx_pool.take_cap(cap_est);
-            let vals = self.pool.take_cap(cap_est * root.dim.max(1));
+            let entries = reserve(root);
+            let coords = self.idx_pool.take_cap(entries);
+            let vals = self.pool.take_cap(entries * root.dim.max(1));
             self.root_table = EmbeddingTable::from_sparse_parts(
                 root.vars.clone(),
                 root.dim,
@@ -833,29 +846,11 @@ impl EvalEngine {
                     // a hard output cap, so take the minimum. Variables
                     // bound only by dense (probed) operands contribute
                     // a full factor `n` each.
-                    let mut scopes: Vec<Vec<u32>> = Vec::new();
-                    let mut log_sizes: Vec<f64> = Vec::new();
-                    let mut in_scope = vec![false; vars.len()];
-                    for &i in &arg_nodes {
-                        if !self.nodes[i].sparse {
-                            continue;
-                        }
-                        let scope: Vec<u32> = self.nodes[i]
-                            .vars
-                            .iter()
-                            .map(|v| vars.iter().position(|u| u == v).expect("arg var free") as u32)
-                            .collect();
-                        for &p in &scope {
-                            in_scope[p as usize] = true;
-                        }
-                        scopes.push(scope);
-                        log_sizes.push((self.nodes[i].est_nnz.max(1) as f64).ln());
-                    }
-                    let uncovered = in_scope.iter().filter(|&&b| !b).count();
-                    let log_agm =
-                        gel_graph::elim::agm_cover_log_bound(vars.len(), &scopes, &log_sizes)
-                            + uncovered as f64 * (self.n.max(1) as f64).ln();
-                    let est = est.min(log_bound_to_count(log_agm));
+                    let sparse_args = arg_nodes.iter().filter(|&&i| self.nodes[i].sparse);
+                    let est = est.min(self.agm_nnz(
+                        &vars,
+                        sparse_args.map(|&i| (&self.nodes[i].vars[..], self.nodes[i].est_nnz)),
+                    ));
                     let est = est.clamp(1, bound.max(1));
                     if self.sparse_ok(cells, est) {
                         for &i in &arg_nodes {
@@ -1086,23 +1081,14 @@ impl EvalEngine {
                         factors.push(fi);
                         factor_vars.push(self.nodes[fi].vars.clone());
                     }
-                    let scopes: Vec<Vec<u32>> = factor_vars
-                        .iter()
-                        .map(|fv| {
-                            fv.iter()
-                                .map(|v| all.iter().position(|u| u == v).unwrap() as u32)
-                                .collect()
-                        })
-                        .collect();
+                    let scopes: Vec<Vec<u32>> =
+                        factor_vars.iter().map(|fv| scope_in(fv, &all)).collect();
                     let eliminable: Vec<bool> = all.iter().map(|v| over.contains(v)).collect();
                     let (order_ids, width) =
                         gel_graph::elim::min_degree_order_masked(all.len(), &scopes, &eliminable);
-                    let free_over = all
-                        .iter()
-                        .filter(|v| {
-                            over.contains(v) && !factor_vars.iter().any(|fv| fv.contains(v))
-                        })
-                        .count() as u32;
+                    let in_factor = |v: &Var| factor_vars.iter().any(|fv| fv.contains(v));
+                    let free_over =
+                        all.iter().filter(|v| over.contains(v) && !in_factor(v)).count() as u32;
                     let out_vars: Vec<Var> =
                         all.iter().copied().filter(|v| !over.contains(v)).collect();
                     // Cyclic residual (induced width ≥ 2): binary
@@ -1118,7 +1104,7 @@ impl EvalEngine {
                     // ascending so output entries emerge in dense
                     // layout order; aggregated variables follow in
                     // cheapest-incident-factor-first order.
-                    if self.opts.wco
+                    let strategy = if self.opts.wco
                         && width >= 2
                         && factors.len() <= MAX_WCO_FACTORS
                         && fractional_cover_number(all.len(), &scopes) <= width as f64
@@ -1131,55 +1117,39 @@ impl EvalEngine {
                             &sizes,
                             &eliminable,
                         );
-                        let mut order: Vec<Var> = out_vars.clone();
                         // Aggregated variables in no factor stay out of
                         // the join order — they are the exact
                         // `n^free_over` multiplier.
-                        order.extend(
-                            elim_ids
-                                .iter()
-                                .map(|&i| all[i as usize])
-                                .filter(|v| factor_vars.iter().any(|fv| fv.contains(v))),
-                        );
-                        let n_free = out_vars.len();
-                        let out_cells = n.checked_pow(n_free as u32).unwrap_or(usize::MAX);
-                        let log_sizes: Vec<f64> = factors
+                        let mut order: Vec<Var> = out_vars.clone();
+                        order.extend(elim_ids.iter().map(|&i| all[i as usize]).filter(in_factor));
+                        SumProductStrategy::Join { order }
+                    } else {
+                        // Eliminating a variable joins it with its (at
+                        // most `width`) neighbours.
+                        if width >= MAX_JOIN_VARS || n.checked_pow(width as u32 + 1).is_none() {
+                            self.too_wide.get_or_insert(PlanError::TooWide { vars: width + 1, n });
+                        }
+                        let order = order_ids.iter().map(|&i| all[i as usize]).collect();
+                        SumProductStrategy::Eliminate { order }
+                    };
+                    // Every output entry extends to a join tuple: the
+                    // AGM bound over the factors' projections onto the
+                    // free variables is a sound output bound (a path
+                    // summed at one end: `m`, not the full join's `m²`).
+                    let est = self.agm_nnz(
+                        &out_vars,
+                        factors
                             .iter()
-                            .map(|&fi| (self.nodes[fi].est_nnz.max(1) as f64).ln())
-                            .collect();
-                        // The AGM bound on the full join also bounds
-                        // the output nnz (every output tuple extends to
-                        // at least one join tuple).
-                        let agm =
-                            gel_graph::elim::agm_cover_log_bound(all.len(), &scopes, &log_sizes);
-                        let est = log_bound_to_count(agm);
-                        let mut node = self.make_node(
-                            out_vars,
-                            1,
-                            Kind::JoinWco {
-                                factors,
-                                factor_vars,
-                                order,
-                                n_free,
-                                free_over,
-                                mean_div,
-                            },
-                        );
-                        node.sparse = true;
-                        node.est_nnz = est.clamp(1, out_cells.max(1));
-                        return (self.push_node(node, key), key);
-                    }
-                    // Eliminating a variable joins it with its (at
-                    // most `width`) neighbours.
-                    if width >= MAX_JOIN_VARS || n.checked_pow(width as u32 + 1).is_none() {
-                        self.too_wide.get_or_insert(PlanError::TooWide { vars: width + 1, n });
-                    }
-                    let order: Vec<Var> = order_ids.iter().map(|&i| all[i as usize]).collect();
-                    let node = self.make_node(
+                            .map(|&fi| (&self.nodes[fi].vars[..], self.nodes[fi].est_nnz)),
+                    );
+                    let out_cells = n.checked_pow(out_vars.len() as u32).unwrap_or(usize::MAX);
+                    let mut node = self.make_node(
                         out_vars,
                         1,
-                        Kind::AggElim { factors, factor_vars, order, free_over, mean_div },
+                        Kind::SumProduct { factors, factor_vars, strategy, free_over, mean_div },
                     );
+                    node.sparse = true;
+                    node.est_nnz = est.clamp(1, out_cells.max(1));
                     return (self.push_node(node, key), key);
                 }
             }
@@ -1278,6 +1248,32 @@ impl EvalEngine {
             || (cells >= self.opts.sparse_min_cells && est.saturating_mul(4) <= cells)
     }
 
+    /// The AGM bound on the nonzeros of a table over `vars` each of
+    /// whose entries extends to a join tuple of `tables` (variables,
+    /// entry bound): every table projects onto `vars` with at most
+    /// `min(entries, n^|projection|)` entries, and each variable no
+    /// table constrains contributes a factor `n`.
+    fn agm_nnz<'a>(&self, vars: &[Var], tables: impl Iterator<Item = (&'a [Var], usize)>) -> usize {
+        let (mut scopes, mut log_sizes) = (Vec::new(), Vec::new());
+        for (tv, entries) in tables {
+            let scope: Vec<u32> = tv
+                .iter()
+                .filter_map(|v| vars.iter().position(|u| u == v))
+                .map(|p| p as u32)
+                .collect();
+            if !scope.is_empty() {
+                let cells = self.n.checked_pow(scope.len() as u32).unwrap_or(usize::MAX);
+                log_sizes.push((entries.min(cells).max(1) as f64).ln());
+                scopes.push(scope);
+            }
+        }
+        let unbound =
+            (0..vars.len() as u32).filter(|p| !scopes.iter().any(|s| s.contains(p))).count();
+        let log_agm = gel_graph::elim::agm_cover_log_bound(vars.len(), &scopes, &log_sizes)
+            + unbound as f64 * (self.n.max(1) as f64).ln();
+        log_bound_to_count(log_agm)
+    }
+
     /// `est_nnz / cells` for a node, clamped to `[0, 1]` (scalar
     /// tables only: `len == cells` when `dim == 1`).
     fn node_density(&self, i: usize) -> f64 {
@@ -1347,6 +1343,12 @@ fn atom_vars(e: &Expr) -> [Var; 2] {
         Expr::Cmp { a, b, .. } => [*a, *b],
         _ => unreachable!("not an indicator atom"),
     }
+}
+
+/// The positions of `sub`'s variables in `all` (a scope of
+/// [`gel_graph::elim`]'s hypergraph functions).
+fn scope_in(sub: &[Var], all: &[Var]) -> Vec<u32> {
+    sub.iter().map(|v| all.iter().position(|u| u == v).expect("scope var in list") as u32).collect()
 }
 
 /// The fractional edge-cover number `ρ*` of a scope hypergraph
@@ -1486,6 +1488,12 @@ fn exec_node(
 ) {
     let node = &nodes[i];
     let d = node.dim;
+    // The sparse kernels run serially — their cost is O(nnz), far below
+    // the dense parallel threshold — so any thread count replays the
+    // identical fold order for free. Each runs in a "sparse.exec" span:
+    // nested under eval.exec, the leaf-time accounting attributes
+    // sparse time to `sparse.*` instead.
+    let _ss = node.sparse.then(|| gel_obs::span("sparse.exec"));
     match &node.kind {
         Kind::Label { j } => {
             for (v, o) in out.iter_mut().enumerate() {
@@ -1498,7 +1506,6 @@ fn exec_node(
             }
         }
         Kind::Edge { flip } if node.sparse => {
-            let _ss = gel_obs::span("sparse.exec");
             sp.reset(1);
             for (u, v) in g.arcs() {
                 let (a, b) = if *flip { (v, u) } else { (u, v) };
@@ -1509,10 +1516,6 @@ fn exec_node(
                 // the variable order swaps the digits.
                 sp.sort_entries(&mut scratch.join);
             }
-            SPARSE_NNZ.add(sp.len() as u64);
-            if node.needs_dense {
-                densify(sp, out);
-            }
         }
         Kind::Edge { flip } => {
             out.fill(0.0);
@@ -1522,14 +1525,9 @@ fn exec_node(
             }
         }
         Kind::CmpEq if node.sparse => {
-            let _ss = gel_obs::span("sparse.exec");
             sp.reset(1);
             for v in 0..n {
                 sp.push1(v * n + v, 1.0);
-            }
-            SPARSE_NNZ.add(sp.len() as u64);
-            if node.needs_dense {
-                densify(sp, out);
             }
         }
         // Only the diagonal differs from the constant fill, so neither
@@ -1668,13 +1666,7 @@ fn exec_node(
                 );
             }
         }
-        // The sparse kernels run serially — their cost is O(nnz), far
-        // below the dense parallel threshold — so any thread count
-        // replays the identical fold order for free. Each wraps in a
-        // "sparse.exec" span: nested under eval.exec, the leaf-time
-        // accounting attributes sparse time to `sparse.*` instead.
         Kind::MulSparse { func, args, driver, driver_pos, expand_pos } => {
-            let _ss = gel_obs::span("sparse.exec");
             sp.reset(d);
             let p = node.vars.len();
             let dl = driver_pos.len();
@@ -1693,43 +1685,26 @@ fn exec_node(
                 &mut scratch.inner_digits[..dl],
                 &mut scratch.join,
             );
-            SPARSE_NNZ.add(sp.len() as u64);
-            if node.needs_dense {
-                densify(sp, out);
-            }
         }
-        Kind::AggElim { factors, factor_vars, order, free_over, mean_div } => {
-            let _ss = gel_obs::span("sparse.exec");
-            run_agg_elim(
+        Kind::SumProduct { factors, factor_vars, strategy, free_over, mean_div } => {
+            run_sum_product(
                 nodes,
                 factors,
                 factor_vars,
-                order,
-                *free_over,
-                *mean_div,
-                out,
-                n,
-                scratch,
-            );
-        }
-        Kind::JoinWco { factors, factor_vars, order, n_free, free_over, mean_div } => {
-            let _ss = gel_obs::span("sparse.exec");
-            run_join_wco(
-                nodes,
-                factors,
-                factor_vars,
-                order,
-                *n_free,
+                strategy,
+                node.vars.len(),
                 *free_over,
                 *mean_div,
                 sp,
                 n,
                 scratch,
             );
-            SPARSE_NNZ.add(sp.len() as u64);
-            if node.needs_dense {
-                densify(sp, out);
-            }
+        }
+    }
+    if node.sparse {
+        SPARSE_NNZ.add(sp.len() as u64);
+        if node.needs_dense {
+            densify(sp, out);
         }
     }
 }
@@ -1982,26 +1957,26 @@ fn run_mul_sparse(
     sp_out.sort_entries(join);
 }
 
-/// The FAQ-style elimination kernel (`Sum` or unguarded `Mean` over a
-/// product of 0/1 indicator factors): copy each factor's coordinate
-/// list into the scratch arena, then for each variable of the planned
-/// order join all factors containing it and contract it out with
-/// [`contract_sum`]; finally join the survivors and scatter into the
-/// dense output, multiplied by `n^free_over` for aggregated variables
-/// no factor constrains. All arithmetic is on integers below 2^53, so
-/// the reassociated sums are exact — bit-identical to the dense sweep.
-/// A `Mean` divides each exact sum by `mean_div` afterwards, the one
-/// division the dense kernel makes (absent cells stay `+0.0`, as
-/// `0.0 / mean_div` would be).
+/// The sum-product kernel (`Sum` or unguarded `Mean` over a product of
+/// 0/1 indicator factors): copy each factor's coordinate list into the
+/// scratch arena, contract it by `strategy` into `sp_out`, then scale
+/// every (integer) sum by `n^free_over` for aggregated variables no
+/// factor constrains and, for a `Mean`, divide it by `mean_div` — the
+/// one division the dense kernel makes (absent cells stay `+0.0`, as
+/// `0.0 / mean_div` would be). All arithmetic before the division is
+/// on integers below 2^53, so the reassociated sums are exact —
+/// bit-identical to the dense sweep. Arena and join-scratch capacities
+/// persist across evaluations, so the warmed path allocates nothing.
 #[allow(clippy::too_many_arguments)]
-fn run_agg_elim(
+fn run_sum_product(
     nodes: &[Node],
     factors: &[usize],
     factor_vars: &[Vec<Var>],
-    order: &[Var],
+    strategy: &SumProductStrategy,
+    n_free: usize,
     free_over: u32,
     mean_div: Option<f64>,
-    out: &mut [f64],
+    sp_out: &mut CoordList,
     n: usize,
     s: &mut ExecScratch,
 ) {
@@ -2010,10 +1985,54 @@ fn run_agg_elim(
         s.arena.push(CoordList::default());
         s.avars.push(Vec::new());
     }
+    for (slot, &fi) in factors.iter().enumerate() {
+        s.arena[slot].copy_from_list(&nodes[fi].sp);
+    }
+    match strategy {
+        SumProductStrategy::Eliminate { order } => eliminate(factor_vars, order, sp_out, n, s),
+        SumProductStrategy::Join { order } => {
+            let seeks = join_multiway(
+                &mut s.arena[..k],
+                factor_vars,
+                order,
+                n_free,
+                n,
+                &mut s.join,
+                sp_out,
+            );
+            WCO_JOINS.incr();
+            WCO_SEEKS.add(seeks);
+        }
+    }
+    if free_over > 0 {
+        let mult = (n as f64).powi(free_over as i32);
+        for v in sp_out.values_mut() {
+            *v *= mult;
+        }
+    }
+    if let Some(div) = mean_div {
+        for v in sp_out.values_mut() {
+            *v /= div;
+        }
+    }
+}
+
+/// Variable elimination over the loaded factor arena: for each
+/// variable of `order`, join all live factors containing it and
+/// contract it out with [`contract_sum`]; finally join the survivors
+/// into `out`. Variables in no live factor are skipped (the caller's
+/// `n^free_over` multiplier).
+fn eliminate(
+    factor_vars: &[Vec<Var>],
+    order: &[Var],
+    out: &mut CoordList,
+    n: usize,
+    s: &mut ExecScratch,
+) {
+    let k = factor_vars.len();
     s.alive.clear();
     s.alive.resize(k, true);
-    for (slot, (&fi, fv)) in factors.iter().zip(factor_vars).enumerate() {
-        s.arena[slot].copy_from_list(&nodes[fi].sp);
+    for (slot, fv) in factor_vars.iter().enumerate() {
         s.avars[slot].clear();
         s.avars[slot].extend_from_slice(fv);
     }
@@ -2024,7 +2043,6 @@ fn run_agg_elim(
                 s.with_v.push(i);
             }
         }
-        // Variables in no live factor are the `free_over` multiplier.
         let Some(&first) = s.with_v.first() else { continue };
         std::mem::swap(&mut s.tmp, &mut s.arena[first]);
         std::mem::swap(&mut s.tmp_vars, &mut s.avars[first]);
@@ -2075,66 +2093,8 @@ fn run_agg_elim(
             }
         }
     }
-    out.fill(0.0);
-    let mult = (n as f64).powi(free_over as i32);
-    if let Some(a) = acc {
-        let fin = &s.arena[a];
-        debug_assert!(fin.coords().iter().all(|&c| c < out.len()));
-        for (e, &c) in fin.coords().iter().enumerate() {
-            let sum = fin.value(e)[0] * mult;
-            out[c] = match mean_div {
-                Some(div) => sum / div,
-                None => sum,
-            };
-        }
-    }
-}
-
-/// The worst-case-optimal join kernel wrapper ([`Kind::JoinWco`]):
-/// copy each factor's coordinate list into the scratch arena (the
-/// kernel re-keys its trie views in place), run
-/// [`crate::sparse::join_multiway`] over the planned order, then scale
-/// every emitted (integer) count by `n^free_over` for aggregated
-/// variables no factor constrains — exact, like `AggElim`'s
-/// multiplier — and, for a `Mean`, divide it by `mean_div`. Arena and
-/// join-scratch capacities persist across evaluations, so the warmed
-/// path allocates nothing.
-#[allow(clippy::too_many_arguments)]
-fn run_join_wco(
-    nodes: &[Node],
-    factors: &[usize],
-    factor_vars: &[Vec<Var>],
-    order: &[Var],
-    n_free: usize,
-    free_over: u32,
-    mean_div: Option<f64>,
-    sp_out: &mut CoordList,
-    n: usize,
-    s: &mut ExecScratch,
-) {
-    let k = factors.len();
-    while s.arena.len() < k {
-        s.arena.push(CoordList::default());
-        s.avars.push(Vec::new());
-    }
-    for (slot, &fi) in factors.iter().enumerate() {
-        s.arena[slot].copy_from_list(&nodes[fi].sp);
-    }
-    let seeks =
-        join_multiway(&mut s.arena[..k], factor_vars, order, n_free, n, &mut s.join, sp_out);
-    if free_over > 0 {
-        let mult = (n as f64).powi(free_over as i32);
-        for v in sp_out.values_mut() {
-            *v *= mult;
-        }
-    }
-    if let Some(div) = mean_div {
-        for v in sp_out.values_mut() {
-            *v /= div;
-        }
-    }
-    WCO_JOINS.incr();
-    WCO_SEEKS.add(seeks);
+    let a = acc.expect("a sum-product has at least one factor");
+    out.copy_from_list(&s.arena[a]);
 }
 
 #[cfg(test)]
@@ -2339,20 +2299,20 @@ mod tests {
         let g = random_graph(9, 2, &mut rng);
         let tri = apply(Func::Mul { arity: 3, dim: 1 }, vec![edge(1, 2), edge(2, 3), edge(1, 3)]);
         let exprs = vec![
-            // AggElim: triangles at a vertex, global triangle count.
+            // Elimination: triangles at a vertex, global triangle count.
             agg_over(Agg::Sum, vec![2, 3], tri.clone(), None),
             agg_over(Agg::Sum, vec![1, 2, 3], tri.clone(), None),
-            // AggElim with an equality atom collapsing two variables.
+            // Elimination with an equality atom collapsing two variables.
             agg_over(
                 Agg::Sum,
                 vec![2, 3],
                 apply(Func::Mul { arity: 3, dim: 1 }, vec![edge(1, 2), eq(2, 3), edge(3, 1)]),
                 None,
             ),
-            // AggElim with the guard as an extra indicator factor
+            // Elimination with the guard as an extra indicator factor
             // (mutual-edge count at x1).
             agg_over(Agg::Sum, vec![2], edge(1, 2), Some(edge(2, 1))),
-            // AggElim with a free aggregated variable (×n multiplier).
+            // Elimination with a free aggregated variable (×n multiplier).
             agg_over(Agg::Sum, vec![2, 3], edge(1, 2), None),
             // MulSparse (edge × dense label), densified for AggDense.
             agg_over(Agg::Sum, vec![2], mul2(edge(1, 2), lab(0, 2)), None),
@@ -2364,13 +2324,13 @@ mod tests {
             agg_over(Agg::Mean, vec![2], lab_vec(2, 2), Some(mul2(edge(1, 2), edge(2, 1)))),
         ];
         let means = vec![
-            // AggElim: the mean out-degree of x1 …
+            // Elimination: the mean out-degree of x1 …
             agg_over(Agg::Mean, vec![2], edge(1, 2), None),
             // … the closed triangle mean …
             agg_over(Agg::Mean, vec![1, 2, 3], tri.clone(), None),
             // … and x3 in no atom (×n, then ÷n²).
             agg_over(Agg::Mean, vec![2, 3], edge(1, 2), None),
-            // JoinWco: 4-cycles through x1 and x4.
+            // Join: 4-cycles through x1 and x4.
             agg_over(
                 Agg::Mean,
                 vec![2, 3],
@@ -2460,8 +2420,8 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-        // An unguarded `Mean` over indicator atoms takes AggElim or
-        // JoinWco (forced sparse, and at default options once the
+        // An unguarded `Mean` over indicator atoms takes a sum-product
+        // plan (forced sparse, and at default options once the
         // cross product reaches 4096 cells). Its table must equal the
         // pure dense engine's bit for bit: `assert_eq` on tables would
         // let a `-0.0` pass for `+0.0`.
@@ -2540,9 +2500,9 @@ mod tests {
         agg_over(Agg::Sum, over, apply(Func::Mul { arity, dim: 1 }, atoms), None)
     }
 
-    /// Cyclic sum-products route through [`Kind::JoinWco`] (counter
-    /// delta ≥ 1 — other tests may run concurrently) while keeping the
-    /// same compact plan shape as the `AggElim` path, and the `wco`
+    /// Cyclic sum-products take the join strategy (counter delta ≥ 1 —
+    /// other tests may run concurrently) while keeping the same compact
+    /// plan shape as the elimination strategy, and the `wco`
     /// ablation restores the binary-join plan bit-identically.
     #[test]
     fn wco_gate_fires_on_cyclic_shapes() {
@@ -2555,7 +2515,7 @@ mod tests {
         let mut eng = EvalEngine::with_options(forced_sparse(true));
         assert_eq!(eng.eval(&c4, &g), &want);
         assert!(WCO_JOINS.get() > before, "cyclic probe did not take the wco path");
-        // 4 edge atoms + 1 JoinWco node — same shape as the AggElim plan.
+        // 4 edge atoms + 1 sum-product node, whichever the strategy.
         assert_eq!(eng.plan_nodes(), 5);
         let mut binary =
             EvalEngine::with_options(EvalOptions { wco: false, ..forced_sparse(true) });
@@ -2566,7 +2526,7 @@ mod tests {
         let before = WCO_JOINS.get();
         let mut eng = EvalEngine::with_options(forced_sparse(true));
         let seen = eng.eval(&path3, &g).data().to_vec();
-        assert_eq!(WCO_JOINS.get(), before, "acyclic probe must stay on AggElim");
+        assert_eq!(WCO_JOINS.get(), before, "acyclic probe must stay on elimination");
         assert_eq!(seen, oracle_eval(&path3, &g).data());
     }
 
@@ -2644,17 +2604,19 @@ mod tests {
     }
 
     /// Whether the plan of `e` on `g` (forced sparse) has a
-    /// [`Kind::JoinWco`] root, checked against the `eval.wco.joins`
-    /// counter; otherwise the root must be an [`Kind::AggElim`].
+    /// [`Kind::SumProduct`] root with the join strategy, checked against
+    /// the `eval.wco.joins` counter; otherwise the root must eliminate.
     fn plans_wco(e: &Expr, g: &Graph) -> bool {
         let before = WCO_JOINS.get();
         let mut eng = EvalEngine::with_options(forced_sparse(true));
         eng.eval(e, g);
-        let wco = matches!(eng.nodes[eng.root].kind, Kind::JoinWco { .. });
-        assert!(wco || matches!(eng.nodes[eng.root].kind, Kind::AggElim { .. }), "{e}");
+        let Kind::SumProduct { strategy, .. } = &eng.nodes[eng.root].kind else {
+            panic!("{e} did not lower to a sum-product")
+        };
+        let wco = matches!(strategy, SumProductStrategy::Join { .. });
         if wco {
             // Other tests may join concurrently: only a rise is certain.
-            assert!(WCO_JOINS.get() > before, "JoinWco plan did not count a join for {e}");
+            assert!(WCO_JOINS.get() > before, "join plan did not count a join for {e}");
         }
         wco
     }
@@ -2680,11 +2642,11 @@ mod tests {
             cyclic_probe(k4, vec![2, 3, 4]),
             cyclic_probe(c4, vec![2, 3]),
         ] {
-            assert!(plans_wco(&e, &g), "{e} must take JoinWco");
+            assert!(plans_wco(&e, &g), "{e} must take the join");
         }
         for k in [5, 6] {
             let e = cyclic_probe(cycle_atoms(k), (1..=k).collect());
-            assert!(!plans_wco(&e, &g), "C{k} must take AggElim");
+            assert!(!plans_wco(&e, &g), "C{k} must take elimination");
         }
     }
 
@@ -2698,13 +2660,13 @@ mod tests {
             plans_wco(&e, &g)
         });
         let wco = wco.count();
-        assert!(wco > 0 && wco < 64, "{wco} of 64 random cyclic probes took JoinWco");
+        assert!(wco > 0 && wco < 64, "{wco} of 64 random cyclic probes took the join");
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
         // Random cyclic GEL_{2,3} sum-products (`random_cyclic_probe`;
-        // some take JoinWco, see `random_cyclic_probes_reach_both_plans`).
+        // some take the join, see `random_cyclic_probes_reach_both_plans`).
         // The wco engine, the binary merge-join engine and the dense
         // oracle must agree
         // bit-for-bit, serially and at 4 threads (the sparse kernels
@@ -2728,40 +2690,54 @@ mod tests {
     /// Sparse output: with `sparse_output` on, a sparse root skips the
     /// final densify — the returned table is sparse, equal (as a
     /// function) to the dense result, replays from the cached plan, and
-    /// round-trips through `eval_owned`.
+    /// round-trips through `eval_owned`. Both sum-product strategies
+    /// have a sparse root.
     #[test]
     fn sparse_output_root_skips_densify() {
         let mut rng = StdRng::seed_from_u64(0x0B7);
         let g = random_graph(12, 1, &mut rng);
-        // Per-(x1,x4) count of paths x1→x2→x3→x4 closing a 4-cycle:
-        // a cyclic query with a 2-variable output table.
-        let e = cyclic_probe(vec![edge(1, 2), edge(2, 3), edge(3, 4), edge(1, 4)], vec![2, 3]);
-        let opts = EvalOptions { sparse_output: true, ..forced_sparse(true) };
-        let want = oracle_eval(&e, &g);
-        let mut eng = EvalEngine::with_options(opts);
-        let t = eng.eval(&e, &g);
-        assert!(t.is_sparse(), "root should stay sparse under sparse_output");
-        assert!(t.nnz() <= t.num_cells());
-        assert!(t.approx_eq(&want, 0.0), "sparse output diverged from the oracle");
-        assert_eq!(t.to_dense(), want, "densified sparse output must be bit-identical");
-        // Cached replay keeps the sparse representation and the values.
-        let t2 = eng.eval(&e, &g);
-        assert!(t2.is_sparse());
-        assert!(t2.approx_eq(&want, 0.0));
-        // eval_owned moves the sparse table out; the next borrowed call
-        // still works (fresh buffers).
-        let owned = eng.eval_owned(&e, &g);
-        assert!(owned.is_sparse());
-        assert_eq!(owned.to_dense(), want);
-        assert!(eng.eval(&e, &g).approx_eq(&want, 0.0));
-        // A dense root (defaults) is unaffected by the flag being off.
-        let mut dense_eng = EvalEngine::with_options(forced_sparse(true));
-        assert!(!dense_eng.eval(&e, &g).is_sparse());
+        for (i, e) in two_free_sum_products().into_iter().enumerate() {
+            assert_eq!(plans_wco(&e, &g), i == 0, "{e} took the wrong strategy");
+            let opts = EvalOptions { sparse_output: true, ..forced_sparse(true) };
+            let want = oracle_eval(&e, &g);
+            let mut eng = EvalEngine::with_options(opts);
+            let t = eng.eval(&e, &g);
+            assert!(t.is_sparse(), "root should stay sparse under sparse_output: {e}");
+            assert!(t.nnz() <= t.num_cells());
+            assert!(t.approx_eq(&want, 0.0), "sparse output diverged from the oracle: {e}");
+            assert_eq!(t.to_dense(), want, "densified sparse output must be bit-identical");
+            // Cached replay keeps the sparse representation and the values.
+            let t2 = eng.eval(&e, &g);
+            assert!(t2.is_sparse());
+            assert!(t2.approx_eq(&want, 0.0));
+            // eval_owned moves the sparse table out; the next borrowed
+            // call still works (fresh buffers).
+            let owned = eng.eval_owned(&e, &g);
+            assert!(owned.is_sparse());
+            assert_eq!(owned.to_dense(), want);
+            assert!(eng.eval(&e, &g).approx_eq(&want, 0.0));
+            // A dense root (defaults) is unaffected by the flag being off.
+            let mut dense_eng = EvalEngine::with_options(forced_sparse(true));
+            assert!(!dense_eng.eval(&e, &g).is_sparse());
+        }
+    }
+
+    /// Sum-products with a 2-variable output table, one per strategy:
+    /// the per-(x1,x4) count of paths x1→x2→x3→x4 closing a 4-cycle
+    /// (cyclic, joined), and the per-arc (x1,x2) out-degree of x2
+    /// (width 1, eliminated).
+    fn two_free_sum_products() -> [Expr; 2] {
+        [
+            cyclic_probe(vec![edge(1, 2), edge(2, 3), edge(3, 4), edge(1, 4)], vec![2, 3]),
+            cyclic_probe(vec![edge(1, 2), edge(2, 3)], vec![3]),
+        ]
     }
 
     /// `try_eval_capped` admits plans whose slabs all stay sparse and
     /// rejects — before allocating — plans needing a dense slab over
-    /// the cap; the error names the offending length.
+    /// the cap, or an eliminated sum-product whose output bound is over
+    /// it; the error names the offending size. Sparse buffers reserve
+    /// at most the cap.
     #[test]
     fn try_eval_capped_gates_dense_slabs() {
         let mut rng = StdRng::seed_from_u64(7);
@@ -2769,7 +2745,7 @@ mod tests {
         let e = cyclic_probe(vec![edge(1, 2), edge(2, 3), edge(3, 4), edge(1, 4)], vec![3, 4]);
         let sparse_opts = EvalOptions { sparse_output: true, ..forced_sparse(true) };
         let mut eng = EvalEngine::with_options(sparse_opts);
-        // All nodes sparse (atoms + JoinWco root): a cap far below the
+        // All nodes sparse (atoms + sum-product root): a cap far below the
         // n² output admits the plan.
         let want = oracle_eval(&e, &g);
         let t = eng.try_eval_capped(&e, &g, 64).expect("fully sparse plan fits any cap");
@@ -2789,25 +2765,60 @@ mod tests {
         );
         // The engine recovers: an uncapped call evaluates normally.
         assert_eq!(dense_eng.eval(&e, &g), &want);
+
+        // Eliminated sum-products: a path summed at one end holds at
+        // most one entry per arc, so it fits a cap below its n² cells;
+        // `sum_{x4}(E(x1,x2)·E(x3,x4))` may hold m·n entries and is
+        // refused before anything is evaluated.
+        let cap = 2 * g.num_arcs();
+        let path = cyclic_probe(vec![edge(1, 2), edge(2, 3)], vec![3]);
+        let t = eng.try_eval_capped(&path, &g, cap).expect("bounded by the arcs");
+        assert!(t.approx_eq(&oracle_eval(&path, &g), 0.0));
+        let wide = cyclic_probe(vec![edge(1, 2), edge(3, 4)], vec![4]);
+        let err = eng.try_eval_capped(&wide, &g, cap).unwrap_err();
+        assert!(
+            matches!(err, PlanError::TooManyEntries { bound, cap: c } if bound > c && c == cap),
+            "error must carry the output bound: {err:?}"
+        );
+        // A joined sum-product (the 3-star, bound n³) is admitted, but its
+        // output list reserves no more than the cap.
+        let star = cyclic_probe(vec![edge(1, 4), edge(2, 4), edge(3, 4)], vec![4]);
+        let mut fresh = EvalEngine::with_options(sparse_opts);
+        fresh.ensure_plan_capped(&star, &g, Some(8)).expect("joins are not bounded at plan time");
+        let root = fresh.root;
+        assert!(matches!(
+            fresh.nodes[root].kind,
+            Kind::SumProduct { strategy: SumProductStrategy::Join { .. }, .. }
+        ));
+        assert!(fresh.nodes[root].est_nnz > 8);
+        let (coords, _) = std::mem::take(&mut fresh.nodes[root].sp).into_parts();
+        assert!(coords.capacity() <= 8, "reserved {} entries", coords.capacity());
     }
 
-    /// The warmed wco + sparse-output path performs zero pool misses:
-    /// the slab-alloc counter must stay flat across repeated calls on
-    /// a cached plan.
+    /// The warmed sum-product + sparse-output path performs zero pool
+    /// misses under either strategy: the slab-alloc counter must stay
+    /// flat across repeated calls on a cached plan. Test threads that
+    /// end flush their counts into the same global total, so a window
+    /// may see another test's misses; a steady-state miss would repeat
+    /// in every window, so one flat window of three suffices.
     #[test]
-    fn wco_sparse_output_steady_state_allocs_zero() {
+    fn sum_product_sparse_output_steady_state_allocs_zero() {
         let mut rng = StdRng::seed_from_u64(99);
         let g = random_graph(14, 1, &mut rng);
-        let e = cyclic_probe(vec![edge(1, 2), edge(2, 3), edge(3, 4), edge(1, 4)], vec![2, 3]);
-        let opts = EvalOptions { sparse_output: true, ..forced_sparse(true) };
-        let mut eng = EvalEngine::with_options(opts);
-        for _ in 0..3 {
-            eng.eval(&e, &g); // warm the plan, buffers and scratch
+        for e in two_free_sum_products() {
+            let opts = EvalOptions { sparse_output: true, ..forced_sparse(true) };
+            let mut eng = EvalEngine::with_options(opts);
+            for _ in 0..3 {
+                eng.eval(&e, &g); // warm the plan, buffers and scratch
+            }
+            let flat = (0..3).any(|_| {
+                let before = eval_slab_allocs();
+                for _ in 0..10 {
+                    eng.eval(&e, &g);
+                }
+                eval_slab_allocs() == before
+            });
+            assert!(flat, "warmed sparse-output path allocated: {e}");
         }
-        let before = eval_slab_allocs();
-        for _ in 0..10 {
-            eng.eval(&e, &g);
-        }
-        assert_eq!(eval_slab_allocs(), before, "warmed wco/sparse-output path allocated");
     }
 }

@@ -227,7 +227,7 @@ mod tests {
                 hom_count(&p, &g),
                 hom_count(&p, &petersen()) + hom_count(&p, &complete(10))
             );
-            assert!(gel_lang::eval_wco_seeks() > before, "{p:?} did not take JoinWco");
+            assert!(gel_lang::eval_wco_seeks() > before, "{p:?} did not take the multiway join");
         }
     }
 

@@ -67,6 +67,60 @@ fn dispatch(parallel: bool) -> bool {
     parallel
 }
 
+/// The one GEMM dispatch behind every product entry point: `out =
+/// op(a)·op(b)`, where `op` transposes when `at` / `bt` is set, reshaped
+/// as needed, then the optional `σ(· + bias)` epilogue over each
+/// finished block. Runs the blocked core from [`kernels`] — per-cell
+/// ascending-k accumulation on every path — serially or in fixed
+/// [`kernels::PAR_ROWS`]-row blocks, so every cell is computed by the
+/// identical instruction sequence at any thread count. `span` names the
+/// caller's timing span.
+fn gemm(
+    span: &'static str,
+    a: &Matrix,
+    at: bool,
+    b: &Matrix,
+    bt: bool,
+    out: &mut Matrix,
+    epilogue: Option<(&[f64], Activation)>,
+) {
+    let (rows, k) = if at { (a.cols, a.rows) } else { (a.rows, a.cols) };
+    let n = if bt { b.rows } else { b.cols };
+    out.ensure_shape(rows, n);
+    let _t = gel_obs::span(span);
+    if n == 0 {
+        return;
+    }
+    let block = |blk: usize, part: &mut [f64]| {
+        let row0 = blk * kernels::PAR_ROWS;
+        kernels::gemm_into(
+            &a.data,
+            a.cols,
+            at,
+            &b.data,
+            b.cols,
+            bt,
+            k,
+            row0,
+            part.len() / n,
+            n,
+            part,
+        );
+        if let Some((bias, act)) = epilogue {
+            for row in part.chunks_exact_mut(n) {
+                for (o, &bv) in row.iter_mut().zip(bias) {
+                    *o = act.apply(*o + bv);
+                }
+            }
+        }
+    };
+    if dispatch(rows * k * n >= PAR_FLOPS_THRESHOLD && rows > 1 && par_enabled()) {
+        out.data.par_chunks_mut(kernels::PAR_ROWS * n).enumerate().for_each(|(i, p)| block(i, p));
+    } else {
+        block(0, &mut out.data);
+    }
+}
+
 /// Fresh `f64` buffer allocations made by `Matrix` (constructors,
 /// clones, and capacity-growing reshapes), since the last
 /// [`gel_obs::reset`].
@@ -287,46 +341,7 @@ impl Matrix {
             self.shape(),
             rhs.shape()
         );
-        out.ensure_shape(self.rows, rhs.cols);
-        let _t = gel_obs::span("tensor.matmul");
-        let n = rhs.cols;
-        // Blocked core from `kernels`: per-cell ascending-k accumulation
-        // on every path. The parallel split hands out fixed PAR_ROWS-row
-        // blocks, so every cell is computed by the identical instruction
-        // sequence at any thread count.
-        if dispatch(
-            self.rows * self.cols * n >= PAR_FLOPS_THRESHOLD && self.rows > 1 && par_enabled(),
-        ) {
-            out.data.par_chunks_mut(kernels::PAR_ROWS * n).enumerate().for_each(|(blk, part)| {
-                kernels::gemm_into(
-                    &self.data,
-                    self.cols,
-                    false,
-                    &rhs.data,
-                    n,
-                    false,
-                    self.cols,
-                    blk * kernels::PAR_ROWS,
-                    part.len() / n,
-                    n,
-                    part,
-                );
-            });
-        } else {
-            kernels::gemm_into(
-                &self.data,
-                self.cols,
-                false,
-                &rhs.data,
-                n,
-                false,
-                self.cols,
-                0,
-                self.rows,
-                n,
-                &mut out.data,
-            );
-        }
+        gemm("tensor.matmul", self, false, rhs, false, out, None);
     }
 
     /// `selfᵀ * rhs` without materializing the transpose.
@@ -340,44 +355,7 @@ impl Matrix {
     /// contents discarded). Bit-identical to [`Matrix::t_matmul`].
     pub fn t_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, rhs.rows, "t_matmul shape mismatch");
-        out.ensure_shape(self.cols, rhs.cols);
-        let _t = gel_obs::span("tensor.t_matmul");
-        let n = rhs.cols;
-        // Same blocked core with A read transposed (`a[k * lda + i]`):
-        // output cell (i, j) folds over k ascending on both paths.
-        if dispatch(
-            self.rows * self.cols * n >= PAR_FLOPS_THRESHOLD && self.cols > 1 && par_enabled(),
-        ) {
-            out.data.par_chunks_mut(kernels::PAR_ROWS * n).enumerate().for_each(|(blk, part)| {
-                kernels::gemm_into(
-                    &self.data,
-                    self.cols,
-                    true,
-                    &rhs.data,
-                    n,
-                    false,
-                    self.rows,
-                    blk * kernels::PAR_ROWS,
-                    part.len() / n,
-                    n,
-                    part,
-                );
-            });
-        } else {
-            kernels::gemm_into(
-                &self.data,
-                self.cols,
-                true,
-                &rhs.data,
-                n,
-                false,
-                self.rows,
-                0,
-                self.cols,
-                n,
-                &mut out.data,
-            );
-        }
+        gemm("tensor.t_matmul", self, true, rhs, false, out, None);
     }
 
     /// `self * rhsᵀ` without materializing the transpose.
@@ -391,46 +369,7 @@ impl Matrix {
     /// contents discarded). Bit-identical to [`Matrix::matmul_t`].
     pub fn matmul_t_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, rhs.cols, "matmul_t shape mismatch");
-        out.ensure_shape(self.rows, rhs.rows);
-        let _t = gel_obs::span("tensor.matmul_t");
-        let n = rhs.rows;
-        // Same blocked core with B read transposed (`b[j * ldb + k]`,
-        // handled by a transposing pack): cell (i, j) is still one
-        // ascending-k fold, so this is bit-identical to the per-cell
-        // dot-product loop.
-        if dispatch(
-            self.rows * self.cols * n >= PAR_FLOPS_THRESHOLD && self.rows > 1 && par_enabled(),
-        ) {
-            out.data.par_chunks_mut(kernels::PAR_ROWS * n).enumerate().for_each(|(blk, part)| {
-                kernels::gemm_into(
-                    &self.data,
-                    self.cols,
-                    false,
-                    &rhs.data,
-                    self.cols,
-                    true,
-                    self.cols,
-                    blk * kernels::PAR_ROWS,
-                    part.len() / n,
-                    n,
-                    part,
-                );
-            });
-        } else {
-            kernels::gemm_into(
-                &self.data,
-                self.cols,
-                false,
-                &rhs.data,
-                self.cols,
-                true,
-                self.cols,
-                0,
-                self.rows,
-                n,
-                &mut out.data,
-            );
-        }
+        gemm("tensor.matmul_t", self, false, rhs, true, out, None);
     }
 
     /// Fused affine + activation: `out = σ(self·rhs + bias)` in a
@@ -455,45 +394,7 @@ impl Matrix {
             rhs.shape()
         );
         assert_eq!(bias.len(), rhs.cols, "bias width mismatch");
-        out.ensure_shape(self.rows, rhs.cols);
-        let _t = gel_obs::span("tensor.matmul_bias_act");
-        let n = rhs.cols;
-        if n == 0 {
-            return;
-        }
-        // Blocked gemm, then the bias + σ epilogue over the finished
-        // block: per cell this is "ascending-k sum, + bias, σ" — the
-        // same chain as matmul → add_row_broadcast → apply_matrix.
-        let block = |blk: usize, part: &mut [f64]| {
-            kernels::gemm_into(
-                &self.data,
-                self.cols,
-                false,
-                &rhs.data,
-                n,
-                false,
-                self.cols,
-                blk * kernels::PAR_ROWS,
-                part.len() / n,
-                n,
-                part,
-            );
-            for row in part.chunks_exact_mut(n) {
-                for (o, &b) in row.iter_mut().zip(bias) {
-                    *o = act.apply(*o + b);
-                }
-            }
-        };
-        if dispatch(
-            self.rows * self.cols * n >= PAR_FLOPS_THRESHOLD && self.rows > 1 && par_enabled(),
-        ) {
-            out.data
-                .par_chunks_mut(kernels::PAR_ROWS * n)
-                .enumerate()
-                .for_each(|(blk, part)| block(blk, part));
-        } else {
-            block(0, &mut out.data);
-        }
+        gemm("tensor.matmul_bias_act", self, false, rhs, false, out, Some((bias, act)));
     }
 
     /// Fused bias-add + activation for the training path: adds `bias`
@@ -834,13 +735,20 @@ mod tests {
         let b = Matrix::from_fn(96, 160, |i, j| ((i * 13 + j * 7) % 19) as f64 * 0.25);
         let c = Matrix::from_fn(160, 160, |i, j| ((i + j * 3) % 29) as f64 - 14.0);
         let d = Matrix::from_fn(160, 96, |i, j| ((i * 5 + j) % 27) as f64 * 0.5 - 6.0);
+        let bias: Vec<f64> = (0..160).map(|j| (j % 7) as f64 * 0.5 - 1.5).collect();
+        let fused = |out: &mut Matrix| a.matmul_bias_act_into(&b, &bias, Activation::ReLU, out);
         rayon::set_num_threads(1);
         let serial = (a.matmul(&b), a.t_matmul(&c), a.matmul_t(&d));
+        let mut serial_fused = Matrix::zeros(0, 0);
+        fused(&mut serial_fused);
+        let mut out = Matrix::zeros(0, 0);
         for threads in [2, 4, 8] {
             rayon::set_num_threads(threads);
             assert_eq!(a.matmul(&b), serial.0, "matmul differs at {threads} threads");
             assert_eq!(a.t_matmul(&c), serial.1, "t_matmul differs at {threads} threads");
             assert_eq!(a.matmul_t(&d), serial.2, "matmul_t differs at {threads} threads");
+            fused(&mut out);
+            assert_eq!(out, serial_fused, "matmul_bias_act differs at {threads} threads");
         }
         rayon::set_num_threads(0);
     }

@@ -76,9 +76,12 @@ proptest! {
         prop_assert!(sum.frobenius_norm() <= a.frobenius_norm() + b.frobenius_norm() + 1e-9);
     }
 
-    /// Products big enough to cross the parallel threshold
-    /// (64·64·32 = 2¹⁷ flops) are *bit-identical* at every thread
-    /// count — the invariant the experiment tables rely on.
+    /// Products are *bit-identical* at every thread count — the
+    /// invariant the experiment tables rely on. These are 64·64·32 =
+    /// 2¹⁷ flops, below the 2²¹ parallel threshold, so this property
+    /// pins the serial path under every thread setting; the unit test
+    /// `large_matmuls_bit_identical_across_thread_counts` in
+    /// `matrix.rs` covers the row-parallel path.
     #[test]
     fn matmul_bit_identical_across_thread_counts((a, b) in (small_matrix(64, 64), small_matrix(64, 32))) {
         rayon::set_num_threads(1);

@@ -212,11 +212,14 @@ fn batched_eval_matches_singletons_bit_for_bit() {
 /// `max_result_cells` but whose plan stays sparse end to end is now
 /// answered with a sparse table (bit-identical to an uncapped direct
 /// engine run) instead of `TooLarge` — while a genuinely dense wide
-/// query is still rejected. The edge atom and the sparse product
-/// `E(x1,x2) · lab0(x1)` (`MulSparse`) are the two admitted shapes.
+/// query is still rejected. The admitted shapes are the edge atom, the
+/// sparse product `E(x1,x2) · lab0(x1)` (`MulSparse`) and the
+/// eliminated sum-product `sum_{x3}(E(x1,x2) · E(x2,x3))`; on an
+/// undirected graph each has one entry per arc.
 #[test]
 fn wide_sparse_results_are_admitted_dense_ones_rejected() {
-    use gel_lang::build::{add2, edge, lab, mul2};
+    use gel_lang::build::{add2, agg_over, edge, lab, mul2};
+    use gel_lang::Agg;
     let mut rng = StdRng::seed_from_u64(0x51DE);
     let g = with_random_real_labels(&erdos_renyi(80, 0.05, &mut rng), LABEL_DIM, &mut rng);
     // Dense result: 80² = 6400 cells; cap far below it.
@@ -225,7 +228,8 @@ fn wide_sparse_results_are_admitted_dense_ones_rejected() {
     server.register_graph("g", g.clone()).expect("register");
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
-    for e in [edge(1, 2), mul2(edge(1, 2), lab(0, 1))] {
+    let two_path = agg_over(Agg::Sum, vec![3], mul2(edge(1, 2), edge(2, 3)), None);
+    for e in [edge(1, 2), mul2(edge(1, 2), lab(0, 1)), two_path] {
         let wt = client.eval_table("g", &e).expect("sparse-admissible eval");
         let TableData::Sparse { coords, values } = &wt.data else {
             panic!("wide low-nnz result must ship sparse: {e}")
@@ -247,15 +251,29 @@ fn wide_sparse_results_are_admitted_dense_ones_rejected() {
     }
 
     // A wide query that genuinely needs a dense table keeps the old
-    // TooLarge rejection.
+    // TooLarge rejection. So do wide sum-products whose output does not
+    // fit: the eliminated `sum_{x4}(E(x1,x2)·E(x3,x4))` may hold m·n
+    // entries and is refused at plan time; the joined 3-star
+    // `sum_{x4}(E(x1,x4)·E(x2,x4)·E(x3,x4))` is refused on its
+    // evaluated size.
     let dense_wide = add2(lab(0, 1), lab(0, 2));
-    let err = client.eval_table("g", &dense_wide).unwrap_err();
-    assert!(matches!(
-        err,
-        gel_serve::ClientError::Server { code: gel_serve::ErrorCode::TooLarge, .. }
-    ));
-    // And the connection is still healthy.
-    client.ping().expect("connection survives TooLarge");
+    let spread = agg_over(Agg::Sum, vec![4], mul2(edge(1, 2), edge(3, 4)), None);
+    let star = agg_over(Agg::Sum, vec![4], mul2(mul2(edge(1, 4), edge(2, 4)), edge(3, 4)), None);
+    for (e, why) in
+        [(dense_wide, "dense table"), (spread, "entries (cap 5000)"), (star, "stored cells")]
+    {
+        let err = client.eval_table("g", &e).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                gel_serve::ClientError::Server { code: gel_serve::ErrorCode::TooLarge, msg }
+                    if msg.contains(why)
+            ),
+            "{e}: {err:?}"
+        );
+        // And the connection is still healthy.
+        client.ping().expect("connection survives TooLarge");
+    }
     server.shutdown();
 }
 
