@@ -162,9 +162,10 @@ pub enum PlanError {
         /// The caller's cap.
         cap: usize,
     },
-    /// Variable elimination of some sum-product would build a table the
-    /// sparse kernels cannot key: more than [`MAX_JOIN_VARS`]
-    /// variables, or `n^vars` cell ids past `usize`.
+    /// Some plan node would index a table whose cells cannot be keyed:
+    /// `n^vars` cell ids (or their `dim`-wide elements) past `usize`,
+    /// or a variable elimination joining more than [`MAX_JOIN_VARS`]
+    /// variables.
     TooWide {
         /// Variables of the widest intermediate table.
         vars: usize,
@@ -185,12 +186,12 @@ impl std::fmt::Display for PlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PlanError::TooDense { len, cap } => {
-                write!(f, "plan needs a dense slab of {len} elements (cap {cap})")
+                write!(f, "plan needs a dense table of {len} cells, cap {cap}")
             }
             PlanError::TooWide { vars, n } => write!(
                 f,
                 "plan needs a {vars}-variable intermediate table over {n} vertices, \
-                 past the sparse kernels' cell-id range"
+                 past the cell-id range"
             ),
             PlanError::TooManyEntries { bound, cap } => {
                 write!(f, "plan's sum-product may emit up to {bound} entries (cap {cap})")
@@ -810,7 +811,8 @@ impl EvalEngine {
             // sparse — the cheapest sparse operand to expand drives,
             // the rest are probed (dense gather or binary search).
             if matches!(func, Func::Mul { dim: 1, .. }) {
-                let cells = self.n.checked_pow(vars.len() as u32).expect("table too large");
+                // An overflow saturates here; `make_node` reports it.
+                let cells = self.n.checked_pow(vars.len() as u32).unwrap_or(usize::MAX);
                 // Driver choice: cheapest expansion bound, which for a
                 // fixed output scope is the same ordering as lowest
                 // factor density.
@@ -823,7 +825,8 @@ impl EvalEngine {
                         continue;
                     }
                     let missing = (vars.len() - self.nodes[i].vars.len()) as u32;
-                    let bound = self.n.pow(missing).saturating_mul(self.nodes[i].est_nnz);
+                    let bound =
+                        self.n.saturating_pow(missing).saturating_mul(self.nodes[i].est_nnz);
                     density_product *= self.node_density(i);
                     if best.is_none_or(|(be, _)| bound < be) {
                         best = Some((bound, ai));
@@ -1194,8 +1197,7 @@ impl EvalEngine {
             outer_strides: strides_for(&self.nodes[gi].vars, self.nodes[gi].dim, &out_vars, n),
             inner_strides: strides_for(&self.nodes[gi].vars, self.nodes[gi].dim, &over_sorted, n),
         });
-        let inner_cells =
-            n.checked_pow(over_sorted.len() as u32).expect("too many aggregated variables");
+        let inner_cells = self.checked_len(over_sorted.len(), 1).unwrap_or(0);
         assert!(over_sorted.len() <= ZERO_STRIDES.len(), "too many aggregated variables");
         let node = self.make_node(
             out_vars,
@@ -1211,14 +1213,30 @@ impl EvalEngine {
         (self.push_node(node, key), key)
     }
 
+    /// `n^vars · dim`, the length of a table over `vars` variables; on
+    /// overflow, records [`PlanError::TooWide`] (lowering then fails
+    /// before any storage is allocated) and returns `None`.
+    fn checked_len(&mut self, vars: usize, dim: usize) -> Option<usize> {
+        let len = self.n.checked_pow(vars as u32).and_then(|c| c.checked_mul(dim));
+        if len.is_none() {
+            self.too_wide.get_or_insert(PlanError::TooWide { vars, n: self.n });
+        }
+        len
+    }
+
     /// Builds a plan node with *deferred* storage: slabs and coordinate
     /// buffers are attached by the representation pass in
-    /// [`Self::ensure_plan`], once consumers have voted on `needs_dense`
-    /// / `sparse_used`.
-    fn make_node(&mut self, vars: Vec<Var>, dim: usize, kind: Kind) -> Node {
+    /// [`Self::ensure_plan_capped`], once consumers have voted on
+    /// `needs_dense` / `sparse_used`. A node too wide to key keeps no
+    /// variables, so lowering its consumers computes no overflowing
+    /// stride; the plan is refused with the recorded error once
+    /// lowering ends.
+    fn make_node(&mut self, mut vars: Vec<Var>, dim: usize, kind: Kind) -> Node {
         assert!(vars.windows(2).all(|w| w[0] < w[1]), "vars must be strictly ascending");
-        let cells = self.n.checked_pow(vars.len() as u32).expect("table too large");
-        let len = cells.checked_mul(dim).expect("table too large");
+        let len = self.checked_len(vars.len(), dim).unwrap_or_else(|| {
+            vars.clear();
+            dim
+        });
         Node {
             vars,
             dim,

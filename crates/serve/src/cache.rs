@@ -21,6 +21,14 @@
 //! exactly once" hold even under concurrency, and it is why the first
 //! evaluation of a popular expression is never duplicated work.
 //!
+//! The rule this rests on: **code running while an engine is checked
+//! out must not panic on input that passed preflight.** A panic there
+//! drops the engine without a `put_back`, so its slot stays a
+//! placeholder and every later request for the key waits forever.
+//! Plans the engine cannot build (a table whose cell ids overflow, a
+//! slab over the cap) therefore come back as a
+//! [`gel_lang::PlanError`], never as a panic.
+//!
 //! ## Eviction
 //!
 //! Strict LRU over resident engines: every slot carries the tick of

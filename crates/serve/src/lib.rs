@@ -16,7 +16,9 @@
 //!   keyed by `(dag_hash, graph shape)`, with checkout/put-back
 //!   semantics so one expression never lowers twice;
 //! * [`server`] — the blocking thread-per-connection server with
-//!   admission control and typed error frames;
+//!   admission control and typed error frames; every eval request
+//!   runs through one engine cache whose engines keep a sparse root
+//!   sparse, and a result ships dense or sparse by its size alone;
 //! * [`client`] — a blocking client with typed convenience calls;
 //! * [`load`] — the concurrent load generator behind
 //!   `gel-bench --bench serve`.

@@ -72,60 +72,11 @@ impl LoadReport {
 /// on any connection fails the whole run — a load test that silently
 /// drops failed requests reports fiction.
 pub fn run_load(server: &Server, cfg: &LoadConfig) -> Result<LoadReport, ClientError> {
-    assert!(cfg.clients > 0 && cfg.requests_per_client > 0 && !cfg.exprs.is_empty());
-    let addr = server.local_addr();
-    let stats_before = server.stats();
-    let builds_before = gel_lang::eval_plan_builds();
-
-    // Connect everyone first so the measured window contains only
-    // request traffic, then fan out.
-    let mut conns = Vec::with_capacity(cfg.clients);
-    for _ in 0..cfg.clients {
-        conns.push(Client::connect(addr)?);
-    }
-
-    let started = Instant::now();
-    let results: Vec<Result<Vec<u64>, ClientError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = conns
-            .into_iter()
-            .enumerate()
-            .map(|(c, mut client)| {
-                s.spawn(move || -> Result<Vec<u64>, ClientError> {
-                    let mut lat_ns = Vec::with_capacity(cfg.requests_per_client);
-                    for i in 0..cfg.requests_per_client {
-                        let expr = &cfg.exprs[(c + i) % cfg.exprs.len()];
-                        let t0 = Instant::now();
-                        client.eval(cfg.graph, expr)?;
-                        lat_ns.push(t0.elapsed().as_nanos() as u64);
-                    }
-                    Ok(lat_ns)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("load client panicked")).collect()
-    });
-    let wall_secs = started.elapsed().as_secs_f64();
-
-    let mut lat_ns = Vec::with_capacity(cfg.clients * cfg.requests_per_client);
-    for r in results {
-        lat_ns.extend(r?);
-    }
-    lat_ns.sort_unstable();
-    let q = |frac: f64| -> f64 {
-        let idx = ((lat_ns.len() - 1) as f64 * frac).round() as usize;
-        lat_ns[idx] as f64 / 1_000.0
-    };
-
-    let stats_after = server.stats();
-    Ok(LoadReport {
-        requests: lat_ns.len() as u64,
-        wall_secs,
-        p50_us: q(0.50),
-        p99_us: q(0.99),
-        throughput_rps: lat_ns.len() as f64 / wall_secs,
-        cache_hits: stats_after.cache_hits - stats_before.cache_hits,
-        cache_misses: stats_after.cache_misses - stats_before.cache_misses,
-        plan_builds: gel_lang::eval_plan_builds().saturating_sub(builds_before),
+    drive(server, cfg, |client, c, i| {
+        let expr = &cfg.exprs[(c + i) % cfg.exprs.len()];
+        let t0 = Instant::now();
+        client.eval(cfg.graph, expr)?;
+        Ok(t0.elapsed().as_nanos() as u64)
     })
 }
 
@@ -140,37 +91,47 @@ pub fn run_load_batched(
     cfg: &LoadConfig,
     batch: usize,
 ) -> Result<LoadReport, ClientError> {
-    assert!(cfg.clients > 0 && cfg.requests_per_client > 0 && !cfg.exprs.is_empty());
     assert!(batch > 0);
+    drive(server, cfg, |client, c, i| {
+        let exprs: Vec<Expr> =
+            (0..batch).map(|j| cfg.exprs[(c + i * batch + j) % cfg.exprs.len()].clone()).collect();
+        let t0 = Instant::now();
+        let tables = client.eval_batch(cfg.graph, &exprs)?;
+        debug_assert_eq!(tables.len(), batch);
+        Ok(t0.elapsed().as_nanos() as u64)
+    })
+}
+
+/// The loop both runners share: connects every client, then has client
+/// `c` issue `request(client, c, i)` for each of its requests `i` on its
+/// own thread. `request` sends one round-trip and returns the
+/// nanoseconds it timed, so building the request stays off the clock.
+fn drive(
+    server: &Server,
+    cfg: &LoadConfig,
+    request: impl Fn(&mut Client, usize, usize) -> Result<u64, ClientError> + Sync,
+) -> Result<LoadReport, ClientError> {
+    assert!(cfg.clients > 0 && cfg.requests_per_client > 0 && !cfg.exprs.is_empty());
     let addr = server.local_addr();
     let stats_before = server.stats();
     let builds_before = gel_lang::eval_plan_builds();
 
+    // Connect everyone first so the measured window contains only
+    // request traffic, then fan out.
     let mut conns = Vec::with_capacity(cfg.clients);
     for _ in 0..cfg.clients {
         conns.push(Client::connect(addr)?);
     }
 
     let started = Instant::now();
+    let request = &request;
     let results: Vec<Result<Vec<u64>, ClientError>> = std::thread::scope(|s| {
         let handles: Vec<_> = conns
             .into_iter()
             .enumerate()
             .map(|(c, mut client)| {
                 s.spawn(move || -> Result<Vec<u64>, ClientError> {
-                    let mut lat_ns = Vec::with_capacity(cfg.requests_per_client);
-                    let mut exprs = Vec::with_capacity(batch);
-                    for i in 0..cfg.requests_per_client {
-                        exprs.clear();
-                        for j in 0..batch {
-                            exprs.push(cfg.exprs[(c + i * batch + j) % cfg.exprs.len()].clone());
-                        }
-                        let t0 = Instant::now();
-                        let tables = client.eval_batch(cfg.graph, &exprs)?;
-                        debug_assert_eq!(tables.len(), batch);
-                        lat_ns.push(t0.elapsed().as_nanos() as u64);
-                    }
-                    Ok(lat_ns)
+                    (0..cfg.requests_per_client).map(|i| request(&mut client, c, i)).collect()
                 })
             })
             .collect();

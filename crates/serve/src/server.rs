@@ -44,7 +44,7 @@ use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 
 use gel_graph::Graph;
-use gel_lang::{analyze, check_against_graph, expr_dag_hash, parse, EvalOptions, PlanError};
+use gel_lang::{analyze, check_against_graph, expr_dag_hash, parse, EvalOptions};
 
 use crate::cache::{Checkout, PlanCache, PlanKey};
 use crate::proto::{
@@ -63,14 +63,17 @@ pub struct ServeOptions {
     /// Most eval requests allowed in flight at once; further evals are
     /// rejected with [`ErrorCode::Busy`].
     pub max_inflight: usize,
-    /// Capacity of the shared engine cache (LRU beyond this).
+    /// Capacity of the shared engine cache (LRU beyond this): every
+    /// engine counts, whatever the shape of its results.
     pub plan_cache_cap: usize,
     /// Most graphs the corpus registry will hold.
     pub max_graphs: usize,
     /// Largest embedding table (in `f64` cells) a single eval may
     /// produce; larger requests get [`ErrorCode::TooLarge`].
     pub max_result_cells: usize,
-    /// Evaluator options for every cached engine.
+    /// Evaluator options for every cached engine; the server forces
+    /// [`EvalOptions::sparse_output`] on, so a sparse root reaches it
+    /// sparse.
     pub eval_opts: EvalOptions,
 }
 
@@ -90,14 +93,12 @@ impl Default for ServeOptions {
 struct Shared {
     opts: ServeOptions,
     graphs: RwLock<HashMap<String, Arc<Graph>>>,
+    /// Every engine, built with `sparse_output` forced on. Whether a
+    /// request is wide (its dense result exceeds
+    /// [`ServeOptions::max_result_cells`]) follows from the expression
+    /// and the graph shape, so from its [`PlanKey`]: one key space
+    /// serves both result shapes.
     cache: PlanCache,
-    /// Engines with `sparse_output` forced on, used for requests whose
-    /// *dense* result would exceed [`ServeOptions::max_result_cells`]:
-    /// if the whole plan stays sparse within the cap, the result ships
-    /// as a [`Response::TableSparse`] frame instead of being rejected
-    /// with `TooLarge`. Kept apart from `cache` because the two option
-    /// sets lower different plans for the same key.
-    sparse_cache: PlanCache,
     inflight: AtomicUsize,
     requests: AtomicU64,
     rejected: AtomicU64,
@@ -131,8 +132,7 @@ impl Server {
         let shared = Arc::new(Shared {
             opts,
             graphs: RwLock::new(HashMap::new()),
-            cache: PlanCache::new(opts.plan_cache_cap, opts.eval_opts),
-            sparse_cache: PlanCache::new(
+            cache: PlanCache::new(
                 opts.plan_cache_cap,
                 EvalOptions { sparse_output: true, ..opts.eval_opts },
             ),
@@ -297,7 +297,10 @@ fn handle_request(state: &Arc<Shared>, payload: &[u8]) -> Response {
             Ok(expr) => eval_on(state, &graph, expr),
             Err(e) => err(ErrorCode::Parse, e.to_string()),
         },
-        Request::EvalBatch { graph, exprs } => eval_batch_on(state, &graph, &exprs),
+        Request::EvalBatch { graph, exprs } => match eval_tables(state, &graph, &exprs) {
+            Ok(tables) => Response::Tables { tables },
+            Err(resp) => resp,
+        },
         Request::Analyze { expr } => match expr.validate() {
             Ok(_) => Response::Report { text: analyze(&expr).to_string() },
             Err(e) => err(ErrorCode::Analyze, e.to_string()),
@@ -330,14 +333,12 @@ fn register(state: &Arc<Shared>, name: String, graph: Graph) -> Result<Response,
 }
 
 fn stats(state: &Arc<Shared>) -> StatsReply {
-    // The dense and the sparse-output caches are one logical cache to
-    // a client; their counters aggregate.
     StatsReply {
         graphs: state.graphs.read().unwrap_or_else(|e| e.into_inner()).len() as u64,
-        plans: (state.cache.len() + state.sparse_cache.len()) as u64,
-        cache_hits: state.cache.hits() + state.sparse_cache.hits(),
-        cache_misses: state.cache.misses() + state.sparse_cache.misses(),
-        evictions: state.cache.evictions() + state.sparse_cache.evictions(),
+        plans: state.cache.len() as u64,
+        cache_hits: state.cache.hits(),
+        cache_misses: state.cache.misses(),
+        evictions: state.cache.evictions(),
         requests: state.requests.load(Ordering::Relaxed),
         rejected: state.rejected.load(Ordering::Relaxed),
     }
@@ -383,22 +384,16 @@ fn resolve_graph(state: &Arc<Shared>, name: &str) -> Result<Arc<Graph>, Response
     Err(err(ErrorCode::UnknownGraph, format!("no graph named {name:?}")))
 }
 
-/// What [`preflight`] decided about one expression.
-struct Preflight {
-    /// `true` when the dense result exceeds the cap and the request
-    /// must go through the sparse-output engine (or be rejected).
-    wide: bool,
-}
-
 /// Static checks before any engine work: typed errors instead of
-/// evaluator panics, and the result-size admission decision. A result
-/// whose *dense* form exceeds [`ServeOptions::max_result_cells`] is no
-/// longer rejected outright — it is routed to the sparse-output engine
-/// ([`Preflight::wide`]) unless its flat cell index cannot even be
-/// represented, which no engine could plan. Every check memoizes at
-/// `Expr::Shared` boundaries, so a deeply shared DAG costs its distinct
-/// nodes here, not its unfolding, before [`admit`] is ever reached.
-fn preflight(state: &Arc<Shared>, g: &Graph, expr: &gel_lang::Expr) -> Result<Preflight, Response> {
+/// evaluator panics, and the result-size admission decision. Returns
+/// whether the result is *wide*: its dense form exceeds
+/// [`ServeOptions::max_result_cells`], so it ships sparse if it ships
+/// at all. A result whose flat cell index cannot even be represented is
+/// rejected here, since no engine could plan it. Every check memoizes
+/// at `Expr::Shared` boundaries, so a deeply shared DAG costs its
+/// distinct nodes here, not its unfolding, before [`admit`] is ever
+/// reached.
+fn preflight(state: &Arc<Shared>, g: &Graph, expr: &gel_lang::Expr) -> Result<bool, Response> {
     let dim = check_against_graph(expr, g).map_err(|e| err(ErrorCode::Analyze, e.to_string()))?;
     let n = g.num_vertices();
     let p = expr.free_vars().len() as u32;
@@ -406,10 +401,8 @@ fn preflight(state: &Arc<Shared>, g: &Graph, expr: &gel_lang::Expr) -> Result<Pr
     // expression may have up to 255 free variables, so the cell count
     // can exceed even `u128`.
     match (n as u128).checked_pow(p).and_then(|c| c.checked_mul(dim as u128)) {
-        Some(cells) if cells <= state.opts.max_result_cells as u128 => {
-            Ok(Preflight { wide: false })
-        }
-        Some(cells) if usize::try_from(cells).is_ok() => Ok(Preflight { wide: true }),
+        Some(cells) if cells <= state.opts.max_result_cells as u128 => Ok(false),
+        Some(cells) if usize::try_from(cells).is_ok() => Ok(true),
         _ => Err(err(
             ErrorCode::TooLarge,
             format!("result would hold {n}^{p} × {dim} cells, beyond any sparse representation"),
@@ -423,7 +416,6 @@ fn admit(state: &Arc<Shared>) -> Result<InflightGuard<'_>, Response> {
     let prev = state.inflight.fetch_add(1, Ordering::AcqRel);
     let guard = InflightGuard(&state.inflight);
     if prev >= state.opts.max_inflight {
-        drop(guard);
         return Err(err(
             ErrorCode::Busy,
             format!("{} evals in flight (capacity)", state.opts.max_inflight),
@@ -432,143 +424,110 @@ fn admit(state: &Arc<Shared>) -> Result<InflightGuard<'_>, Response> {
     Ok(guard)
 }
 
-/// Evaluates one pre-flighted expression on `g` through the
-/// appropriate engine cache, returning the result as a wire table.
-/// Both paths evaluate under a dense-slab cap of
-/// [`ServeOptions::max_result_cells`]: a plan that needs a bigger dense
-/// slab, result or intermediate, is rejected with `TooLarge` before
-/// that slab is ever allocated. Narrow results come back dense; wide
-/// ones use a sparse-output engine, and a plan that keeps every
-/// intermediate (and the root) sparse within the cap ships its
-/// nonzeros.
+/// Evaluates one pre-flighted expression on `g` through the engine
+/// cache under a dense-slab cap of [`ServeOptions::max_result_cells`]:
+/// a plan that needs a bigger dense slab, result or intermediate, is
+/// rejected with `TooLarge` before that slab is ever allocated. The
+/// engines keep a sparse root sparse. A wide result ships its nonzeros
+/// if they fit the cap; a narrow one ships dense, a sparse root
+/// scattered over `+0.0` exactly as the engine's own densify would.
 fn run_eval(
     state: &Arc<Shared>,
     g: &Graph,
     expr: &gel_lang::Expr,
-    pre: &Preflight,
+    wide: bool,
 ) -> Result<WireTable, Response> {
     let n = g.num_vertices();
     let key = PlanKey { dag_hash: expr_dag_hash(expr), n, label_dim: g.label_dim() };
     let cap = state.opts.max_result_cells;
-    let cache = if pre.wide { &state.sparse_cache } else { &state.cache };
-    let mut engine = match cache.checkout(key) {
+    let mut engine = match state.cache.checkout(key) {
         Checkout::Hit(e) | Checkout::Miss(e) => e,
     };
     let out = match engine.try_eval_capped(expr, g, cap) {
-        Ok(table) if !pre.wide => Ok(WireTable {
-            vars: table.vars().to_vec(),
-            dim: table.dim() as u32,
-            n: n as u32,
-            data: TableData::Dense(table.data().to_vec()),
-        }),
         Ok(table) => {
-            // Coordinates cost one u64 each on the wire, so the
-            // admitted payload is still bounded by the result cap.
-            if table.is_sparse() && table.nnz() * (table.dim() + 1) <= cap {
-                let coords = table
-                    .sparse_coords()
-                    .expect("sparse table has coords")
-                    .iter()
-                    .map(|&c| c as u64)
-                    .collect();
-                Ok(WireTable {
-                    vars: table.vars().to_vec(),
-                    dim: table.dim() as u32,
-                    n: n as u32,
-                    data: TableData::Sparse { coords, values: table.data().to_vec() },
-                })
-            } else {
-                Err(err(
+            let (dim, values) = (table.dim(), table.data());
+            let data = match table.sparse_coords() {
+                None => Ok(TableData::Dense(values.to_vec())),
+                // Coordinates cost one u64 each on the wire, so the
+                // admitted payload is still bounded by the result cap.
+                Some(coords) if wide && coords.len() * (dim + 1) <= cap => Ok(TableData::Sparse {
+                    coords: coords.iter().map(|&c| c as u64).collect(),
+                    values: values.to_vec(),
+                }),
+                Some(coords) if wide => Err(err(
                     ErrorCode::TooLarge,
-                    format!("result holds {} stored cells, cap {cap}", table.nnz()),
-                ))
-            }
+                    format!("result holds {} stored cells, cap {cap}", coords.len()),
+                )),
+                Some(coords) => {
+                    let mut data = vec![0.0; table.num_cells() * dim];
+                    for (i, &c) in coords.iter().enumerate() {
+                        data[c * dim..(c + 1) * dim]
+                            .copy_from_slice(&values[i * dim..(i + 1) * dim]);
+                    }
+                    Ok(TableData::Dense(data))
+                }
+            };
+            data.map(|data| WireTable {
+                vars: table.vars().to_vec(),
+                dim: dim as u32,
+                n: n as u32,
+                data,
+            })
         }
-        Err(PlanError::TooDense { len, cap }) => Err(err(
-            ErrorCode::TooLarge,
-            format!("plan needs a dense table of {len} cells, cap {cap}"),
-        )),
         Err(e) => Err(err(ErrorCode::TooLarge, e.to_string())),
     };
-    cache.put_back(key, engine);
+    state.cache.put_back(key, engine);
     out
 }
 
 fn eval_on(state: &Arc<Shared>, graph_name: &str, expr: gel_lang::Expr) -> Response {
-    let g = match resolve_graph(state, graph_name) {
-        Ok(g) => g,
-        Err(resp) => return resp,
-    };
-    let pre = match preflight(state, &g, &expr) {
-        Ok(p) => p,
-        Err(resp) => return resp,
-    };
-    let guard = match admit(state) {
-        Ok(g) => g,
-        Err(resp) => return resp,
-    };
-    let resp = match run_eval(state, &g, &expr, &pre) {
-        Ok(WireTable { vars, dim, n, data }) => match data {
-            TableData::Dense(data) => Response::Table { vars, dim, n, data },
-            TableData::Sparse { coords, values } => {
-                Response::TableSparse { vars, dim, n, coords, values }
+    match eval_tables(state, graph_name, std::slice::from_ref(&expr)) {
+        Ok(mut tables) => {
+            let WireTable { vars, dim, n, data } = tables.pop().expect("one table per expression");
+            match data {
+                TableData::Dense(data) => Response::Table { vars, dim, n, data },
+                TableData::Sparse { coords, values } => {
+                    Response::TableSparse { vars, dim, n, coords, values }
+                }
             }
-        },
+        }
         Err(resp) => resp,
-    };
-    drop(guard);
-    resp
+    }
 }
 
-/// One round-trip, many expressions: the graph resolves once, every
-/// expression pre-flights before any engine work, admission charges
-/// the batch as a single in-flight unit, and the first failure aborts
-/// with its typed error (no partial result frames).
-fn eval_batch_on(state: &Arc<Shared>, graph_name: &str, exprs: &[gel_lang::Expr]) -> Response {
-    let g = match resolve_graph(state, graph_name) {
-        Ok(g) => g,
-        Err(resp) => return resp,
-    };
-    let mut pres = Vec::with_capacity(exprs.len());
-    for expr in exprs {
-        match preflight(state, &g, expr) {
-            Ok(p) => pres.push(p),
-            Err(resp) => return resp,
-        }
-    }
-    let guard = match admit(state) {
-        Ok(g) => g,
-        Err(resp) => return resp,
-    };
+/// Every eval request, one expression or a batch: the graph resolves
+/// once, every expression pre-flights before any engine work,
+/// admission charges the request as a single in-flight unit, and the
+/// first failure aborts with its typed error (no partial result
+/// frames).
+fn eval_tables(
+    state: &Arc<Shared>,
+    graph_name: &str,
+    exprs: &[gel_lang::Expr],
+) -> Result<Vec<WireTable>, Response> {
+    let g = resolve_graph(state, graph_name)?;
+    let wide = exprs.iter().map(|e| preflight(state, &g, e)).collect::<Result<Vec<bool>, _>>()?;
+    let _guard = admit(state)?;
     let mut tables = Vec::with_capacity(exprs.len());
-    // The cap bounds each table alone; the batch reply is one frame,
-    // so the *sum* of stored cells must respect it too.
+    // The cap bounds each table alone; the reply is one frame, so the
+    // *sum* of stored cells must respect it too.
     let mut total_cells = 0usize;
-    for (expr, pre) in exprs.iter().zip(&pres) {
-        match run_eval(state, &g, expr, pre) {
-            Ok(t) => {
-                total_cells += match &t.data {
-                    TableData::Dense(d) => d.len(),
-                    TableData::Sparse { coords, values } => coords.len() + values.len(),
-                };
-                if total_cells > state.opts.max_result_cells {
-                    drop(guard);
-                    return err(
-                        ErrorCode::TooLarge,
-                        format!(
-                            "batch results hold over {total_cells} cells, cap {}",
-                            state.opts.max_result_cells
-                        ),
-                    );
-                }
-                tables.push(t);
-            }
-            Err(resp) => {
-                drop(guard);
-                return resp;
-            }
+    for (expr, &wide) in exprs.iter().zip(&wide) {
+        let t = run_eval(state, &g, expr, wide)?;
+        total_cells += match &t.data {
+            TableData::Dense(d) => d.len(),
+            TableData::Sparse { coords, values } => coords.len() + values.len(),
+        };
+        if total_cells > state.opts.max_result_cells {
+            return Err(err(
+                ErrorCode::TooLarge,
+                format!(
+                    "batch results hold over {total_cells} cells, cap {}",
+                    state.opts.max_result_cells
+                ),
+            ));
         }
+        tables.push(t);
     }
-    drop(guard);
-    Response::Tables { tables }
+    Ok(tables)
 }

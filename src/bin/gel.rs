@@ -12,7 +12,7 @@
 //! Graph specs: `cycle:6`, `petersen`, `shrikhande`, `rook`, `cfi-k4`,
 //! `er:20:0.3:7`, `tree:10:3`, `file:graph.el` (see `gelib::spec`).
 
-use gelib::lang::{analyze, parse, try_eval, EvalEngine};
+use gelib::lang::{analyze, check_against_graph, parse, EvalEngine};
 use gelib::spec::parse_graph_spec;
 use gelib::wl::{cached_cr_equivalent, distinguishing_level};
 
@@ -43,7 +43,9 @@ fn run(args: &[String]) -> Result<(), String> {
         [cmd, expr, spec] if cmd == "eval" => {
             let e = parse(expr).map_err(|e| e.to_string())?;
             let g = parse_graph_spec(spec)?;
-            let table = try_eval(&e, &g).map_err(|e| e.to_string())?;
+            check_against_graph(&e, &g).map_err(|e| e.to_string())?;
+            let mut engine = EvalEngine::new();
+            let table = engine.try_eval(&e, &g).map_err(|e| e.to_string())?;
             match table.vars().len() {
                 0 => println!("value: {:?}", table.value()),
                 1 => {

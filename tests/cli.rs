@@ -17,6 +17,22 @@ fn assert_error(out: &Output, message: &str) {
 fn eval_with_an_out_of_range_label_is_an_error() {
     let out = gel(&["eval", "lab3(x1)", "cycle:4"]);
     assert_error(&out, "lab3 out of range for label dimension 1");
+    // Tables whose cell ids overflow are plan errors, not panics: a
+    // product over 16 variables on 16 vertices needs 16^16 = 2^64
+    // cells, and a max over 13 variables on 32 vertices sweeps 2^65.
+    let vars = |from: usize, to: usize, f: &dyn Fn(usize) -> String| {
+        (from..=to).map(f).collect::<Vec<_>>().join(",")
+    };
+    let product = format!(
+        "sum_{{{}}}(mul({}))",
+        vars(2, 16, &|i| format!("x{i}")),
+        vars(1, 16, &|i| format!("lab0(x{i})"))
+    );
+    let out = gel(&["eval", &product, "cycle:16"]);
+    assert_error(&out, "plan needs a 16-variable intermediate table over 16 vertices");
+    let max = format!("max_{{{}}}(lab0(x2))", vars(2, 14, &|i| format!("x{i}")));
+    let out = gel(&["eval", &max, "cycle:32"]);
+    assert_error(&out, "plan needs a 13-variable intermediate table over 32 vertices");
 }
 
 #[test]

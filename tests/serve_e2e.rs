@@ -322,11 +322,13 @@ fn narrow_requests_evaluate_under_the_cap() {
 
 /// A sum-product whose variable elimination is too wide to key — the
 /// closed 12-clique count on 50 vertices joins 12 variables, and 50^12
-/// cell ids overflow — is a `TooLarge` error, on the dense and the
-/// sparse-output path alike, and the connection survives.
+/// cell ids overflow — is a `TooLarge` error, for a narrow and a wide
+/// result alike, and the connection survives. So is a dense product
+/// whose own table overflows, every time it is sent: a refused plan
+/// hands its engine back to the cache.
 #[test]
 fn too_wide_eliminations_are_rejected() {
-    use gel_lang::build::{agg_over, apply, edge};
+    use gel_lang::build::{agg_over, apply, edge, lab};
     use gel_lang::{Agg, Func};
     let atoms: Vec<Expr> = (1..=12).flat_map(|a| (a + 1..=12).map(move |b| edge(a, b))).collect();
     let clique = apply(Func::Mul { arity: atoms.len(), dim: 1 }, atoms);
@@ -349,6 +351,26 @@ fn too_wide_eliminations_are_rejected() {
             "{err:?}"
         );
         client.ping().expect("connection survives a too-wide plan");
+    }
+    // Σ_{x2..x16} Π lab0(x_i) over 16 variables: 16^16 = 2^64 cells.
+    let labels: Vec<Expr> = (1..=16).map(|v| lab(0, v)).collect();
+    let product = agg_over(
+        Agg::Sum,
+        (2..=16).collect(),
+        apply(Func::Mul { arity: labels.len(), dim: 1 }, labels),
+        None,
+    );
+    server.register_graph("c16", gel_graph::families::cycle(16)).expect("register");
+    for _ in 0..2 {
+        let err = client.eval_table("c16", &product).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                gel_serve::ClientError::Server { code: gel_serve::ErrorCode::TooLarge, .. }
+            ),
+            "{err:?}"
+        );
+        client.ping().expect("connection survives an overflowing table");
     }
     server.shutdown();
 }
