@@ -1,17 +1,19 @@
 //! Compiled-evaluator benchmarks: the WL-simulation kernels behind
-//! E4/E9 evaluated through a persistent [`EvalEngine`], the
-//! guard-fast-path ablation of DESIGN.md §6, the random-probe
-//! plan-rebuild path, and the table-density and wco sweeps
-//! (`gel_experiments::bench`, shared with `all --bench-json`; each
-//! checks its two legs bit-identical).
+//! E4/E9 evaluated through a persistent [`EvalEngine`] (each row
+//! followed by its per-kind census: executions and time per eval of
+//! every plan-node kind), the guard-fast-path ablation of DESIGN.md
+//! §6, the random-probe plan-rebuild path, and the table-density and
+//! wco sweeps (`gel_experiments::bench`, shared with `all
+//! --bench-json`; each checks its two legs bit-identical).
 //!
 //! Run with `cargo bench -p gel-bench --bench eval [-- --smoke]`.
 //! `--smoke` shrinks the iteration counts for CI and *asserts* the
 //! engine's zero-allocation contract: steady-state evaluations of a
 //! fixed expression shape must not grow the slab-allocation counter
 //! (`gel_lang::eval_slab_allocs`) at all — the plan, every
-//! intermediate slab and the output table are reused. It also asserts
-//! the generic join is at least 5× the binary plan on the hub 4-cycle
+//! intermediate slab and the output table are reused (checked on the
+//! CR readout and the n = 48 2-WL readout). It also asserts the
+//! generic join is at least 5× the binary plan on the hub 4-cycle
 //! probe.
 
 use gel_experiments::bench::{self, min_secs_per_iter};
@@ -29,6 +31,25 @@ fn report(name: &str, secs: f64) {
     println!("{name:<40} {:>10.2} µs/iter", secs * 1e6);
 }
 
+/// Times `f` as [`min_secs_per_iter`] does and prints the row, then its
+/// per-kind census: executions and time per call of each plan-node
+/// kind (the `eval.kind.<Kind>.calls` / `.ns` counters).
+fn census_row(name: &str, rounds: u32, iters: u32, f: impl FnMut()) {
+    let before = gel_obs::snapshot();
+    report(name, min_secs_per_iter(rounds, iters, f));
+    let delta = gel_obs::snapshot().since(&before);
+    let per = f64::from(1 + rounds * iters);
+    let kinds: Vec<String> = (delta.counters.iter())
+        .filter_map(|(key, &calls)| {
+            let kind = key.strip_prefix("eval.kind.")?.strip_suffix(".calls")?;
+            let ns = delta.counter(&format!("eval.kind.{kind}.ns")) as f64;
+            let calls = calls as f64 / per;
+            (calls > 0.0).then(|| format!("{kind} {calls:.1}x {:.1} µs", ns / 1e3 / per))
+        })
+        .collect();
+    println!("    mean per eval: {}", kinds.join(" | "));
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let iters = if smoke { 3 } else { 50 };
@@ -43,23 +64,25 @@ fn main() {
     // through one engine (plan cache hit, zero allocations).
     let e4 = cr_graph_expr(g.label_dim(), 6);
     let mut eng = EvalEngine::new();
-    report(
-        "cr_graph_expr_r6 (n=24)",
-        min_secs_per_iter(rounds, iters, || {
-            let _ = eng.eval(&e4, &g);
-        }),
-    );
+    census_row("cr_graph_expr_r6 (n=24)", rounds, iters, || {
+        let _ = eng.eval(&e4, &g);
+    });
 
     // E9 kernel: the 2-WL-simulating readout (n³ tables).
     let g12 = erdos_renyi(12, 0.3, &mut rng);
     let e9 = k_wl_graph_expr(2, g12.label_dim(), 4);
     let mut eng = EvalEngine::new();
-    report(
-        "k_wl_graph_expr_k2_r4 (n=12)",
-        min_secs_per_iter(rounds, iters, || {
-            let _ = eng.eval(&e9, &g12);
-        }),
-    );
+    census_row("k_wl_graph_expr_k2_r4 (n=12)", rounds, iters, || {
+        let _ = eng.eval(&e9, &g12);
+    });
+
+    // The served 2-WL readout at n = 48: 110,592-cell `Apply` nodes.
+    let g48 = erdos_renyi(48, 0.1, &mut rng);
+    let e48 = k_wl_graph_expr(2, g48.label_dim(), 1);
+    let mut eng = EvalEngine::new();
+    census_row("k_wl_graph_expr_k2_r1 (n=48)", rounds, iters.min(20), || {
+        let _ = eng.eval(&e48, &g48);
+    });
 
     // DESIGN.md §6 ablation: neighbour-list aggregation vs the dense
     // n² scan on the same MPNN-shaped expression.
@@ -83,13 +106,10 @@ fn main() {
     let cfg = RandomExprConfig::default();
     let mut eng = EvalEngine::new();
     let mut probe_rng = StdRng::seed_from_u64(gel_bench::BENCH_SEED);
-    report(
-        "random_gel3_probe (n=12, fresh plan)",
-        min_secs_per_iter(rounds, iters, || {
-            let e = random_gel_graph(&cfg, 3, &mut probe_rng);
-            let _ = eng.eval(&e, &g12);
-        }),
-    );
+    census_row("random_gel3_probe (n=12, fresh plan)", rounds, iters, || {
+        let e = random_gel_graph(&cfg, 3, &mut probe_rng);
+        let _ = eng.eval(&e, &g12);
+    });
 
     // Table-density sweep (DESIGN.md §7): the GEL₃ triangle probe at a
     // grid of sizes × edge densities, dense engine vs forced-sparse.
@@ -147,18 +167,24 @@ fn main() {
     }
 
     // Zero-allocation gate: after the sizing call, evaluating the same
-    // expression shape must take every slab from the engine's pool.
-    let mut eng = EvalEngine::new();
-    let _ = eng.eval(&e4, &g);
-    let base = gel_lang::eval_slab_allocs();
+    // expression shape must take every slab from the engine's pool —
+    // for the CR readout and for the n = 48 2-WL readout, whose
+    // `Concat`s fold into their `Hash` consumers.
     let steps = 20;
-    for _ in 0..steps {
-        let _ = eng.eval(&e4, &g);
+    for (name, e, g) in [("cr_graph_expr_r6", &e4, &g), ("k_wl_graph_expr_k2_r1", &e48, &g48)] {
+        let mut eng = EvalEngine::new();
+        let _ = eng.eval(e, g);
+        let base = gel_lang::eval_slab_allocs();
+        for _ in 0..steps {
+            let _ = eng.eval(e, g);
+        }
+        let steady = gel_lang::eval_slab_allocs() - base;
+        println!("eval_steady_state_slab_allocs {name} = {steady} (over {steps} evals)");
+        if smoke {
+            assert_eq!(steady, 0, "steady-state GEL evaluation of {name} allocated a slab");
+        }
     }
-    let steady = gel_lang::eval_slab_allocs() - base;
-    println!("eval_steady_state_slab_allocs = {steady} (over {steps} evals)");
     if smoke {
-        assert_eq!(steady, 0, "steady-state GEL evaluation allocated a slab");
         println!("smoke OK: steady-state GEL evaluations are allocation-free");
     }
 

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use gel_graph::Graph;
 
 use crate::ast::{memo_shared, shared_addr, Expr};
-use crate::plan::EvalEngine;
+use crate::plan::{EvalEngine, PlanError};
 use crate::table::EmbeddingTable;
 
 /// Evaluator options (ablations).
@@ -99,6 +99,8 @@ pub enum EvalError {
         /// The graph's label dimension.
         label_dim: usize,
     },
+    /// Lowering refused the plan (a table too wide to key).
+    Plan(PlanError),
 }
 
 impl std::fmt::Display for EvalError {
@@ -111,6 +113,7 @@ impl std::fmt::Display for EvalError {
             EvalError::LabelVecDim { declared, label_dim } => {
                 write!(f, "labvec{declared} does not match the graph's label dimension {label_dim}")
             }
+            EvalError::Plan(e) => write!(f, "{e}"),
         }
     }
 }
@@ -148,10 +151,11 @@ pub fn check_against_graph(expr: &Expr, g: &Graph) -> Result<usize, EvalError> {
 }
 
 /// [`eval`] with the [`check_against_graph`] pre-flight: errors instead
-/// of panics on incompatible input.
+/// of panics on incompatible input, and on plans lowering refuses
+/// ([`EvalEngine::try_eval`]).
 pub fn try_eval(expr: &Expr, g: &Graph) -> Result<EmbeddingTable, EvalError> {
     check_against_graph(expr, g)?;
-    Ok(eval_with(expr, g, EvalOptions::default()))
+    EvalEngine::new().try_eval_owned(expr, g).map_err(EvalError::Plan)
 }
 
 /// Evaluates with explicit options.
@@ -608,6 +612,18 @@ mod tests {
         // Nested occurrences are found too.
         let nested = nbr_agg(Agg::Sum, 1, 2, lab(7, 2));
         assert!(try_eval(&nested, &g).is_err());
+    }
+
+    #[test]
+    fn try_eval_reports_plans_too_wide_to_key() {
+        // Σ_{x2..x16} Π lab0(x_i) on 16 vertices: 16^16 = 2^64 cells.
+        let labels: Vec<Expr> = (1..=16).map(|v| lab(0, v)).collect();
+        let mul = apply(Func::Mul { arity: 16, dim: 1 }, labels);
+        let product = agg_over(Agg::Sum, (2..=16).collect(), mul, None);
+        assert_eq!(
+            try_eval(&product, &cycle(16)),
+            Err(EvalError::Plan(PlanError::TooWide { vars: 16, n: 16 }))
+        );
     }
 
     #[test]

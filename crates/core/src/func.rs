@@ -139,6 +139,70 @@ impl Func {
         }
     }
 
+    /// Applies the function to a row of `cells ≤ ROW_CELLS` cells at
+    /// once, writing `cells · out_dim` values into `out`; `args` yields
+    /// the arguments in concatenation order. Every variant walks the
+    /// concatenated input components in order, one component down the
+    /// whole row per step, so each output value comes from exactly the
+    /// operations [`Func::apply`] performs on that cell, in the same
+    /// order: bit-identical, with no per-cell packing or dispatch.
+    pub(crate) fn apply_row<'a>(
+        &self,
+        args: impl Iterator<Item = RowArg<'a>>,
+        cells: usize,
+        out: &mut [f64],
+    ) {
+        debug_assert!(cells <= ROW_CELLS);
+        let d = out.len().checked_div(cells).unwrap_or(0);
+        if d == 0 {
+            return;
+        }
+        // Component `k` of the concatenated input, down the row.
+        let columns = args.flat_map(|a| {
+            (0..a.dim).map(move |j| move |c: usize| a.data[a.off + c * a.stride + j])
+        });
+        match self {
+            Func::Linear { weights, bias } => {
+                for o in out.chunks_exact_mut(d) {
+                    o.copy_from_slice(bias);
+                }
+                for (i, x) in columns.enumerate() {
+                    for (c, o) in out.chunks_exact_mut(d).enumerate() {
+                        let xi = x(c);
+                        if xi == 0.0 {
+                            continue;
+                        }
+                        for (o, &w) in o.iter_mut().zip(weights.row(i)) {
+                            *o += xi * w;
+                        }
+                    }
+                }
+            }
+            Func::Add { dim, .. } => fold_columns(columns, *dim, out, d, 0.0, |o, x| o + x),
+            Func::Mul { dim, .. } => fold_columns(columns, *dim, out, d, 1.0, |o, x| o * x),
+            Func::Act(a) => map_columns(columns, out, d, |x| a.apply(x)),
+            Func::Scale(s) => map_columns(columns, out, d, |x| s * x),
+            Func::Concat => map_columns(columns, out, d, |x| x),
+            Func::Proj { start, .. } => map_columns(columns.skip(*start), out, d, |x| x),
+            Func::Hash { seed } => {
+                let h0 = 0xcbf29ce484222325u64 ^ seed.wrapping_mul(0x9e3779b97f4a7c15);
+                let mut lanes = [h0; ROW_CELLS];
+                let lanes = &mut lanes[..cells];
+                for x in columns {
+                    for (c, h) in lanes.iter_mut().enumerate() {
+                        *h ^= x(c).to_bits();
+                        *h = h.wrapping_mul(0x100000001b3);
+                        *h ^= *h >> 29;
+                    }
+                }
+                for (o, &h) in out.iter_mut().zip(lanes.iter()) {
+                    let h = h.wrapping_mul(0x9e3779b97f4a7c15);
+                    *o = ((h ^ (h >> 32)) & ((1u64 << 36) - 1)) as f64;
+                }
+            }
+        }
+    }
+
     /// Short name for pretty-printing.
     pub fn name(&self) -> String {
         match self {
@@ -150,6 +214,53 @@ impl Func {
             Func::Scale(s) => format!("scale[{s}]"),
             Func::Proj { start, len } => format!("proj[{start},{len}]"),
             Func::Hash { seed } => format!("hash[{seed}]"),
+        }
+    }
+}
+
+/// The most cells [`Func::apply_row`] takes at once: the `Hash`
+/// kernel keeps one `u64` state per cell on the stack.
+pub(crate) const ROW_CELLS: usize = 64;
+
+/// One argument of a row of cells: cell `c` of the row reads the `dim`
+/// values at `data[off + c · stride..]`.
+#[derive(Clone, Copy)]
+pub(crate) struct RowArg<'a> {
+    pub data: &'a [f64],
+    pub off: usize,
+    pub stride: usize,
+    pub dim: usize,
+}
+
+/// Output component `j` of every cell is `f` of input component `j`
+/// (the first `d` columns).
+fn map_columns<X: Fn(usize) -> f64>(
+    columns: impl Iterator<Item = X>,
+    out: &mut [f64],
+    d: usize,
+    f: impl Fn(f64) -> f64,
+) {
+    for (j, x) in columns.take(d).enumerate() {
+        for (c, o) in out.chunks_exact_mut(d).enumerate() {
+            o[j] = f(x(c));
+        }
+    }
+}
+
+/// `Add`/`Mul`: every output component starts at `init` and folds in
+/// the input components `j, j + dim, j + 2·dim, …` in order.
+fn fold_columns<X: Fn(usize) -> f64>(
+    columns: impl Iterator<Item = X>,
+    dim: usize,
+    out: &mut [f64],
+    d: usize,
+    init: f64,
+    op: impl Fn(f64, f64) -> f64,
+) {
+    out.fill(init);
+    for (k, x) in columns.enumerate() {
+        for (c, o) in out.chunks_exact_mut(d).enumerate() {
+            o[k % dim] = op(o[k % dim], x(c));
         }
     }
 }

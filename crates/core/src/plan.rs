@@ -27,6 +27,11 @@
 //!   [`Kind::AggNbr`] kernel: CSR neighbour iteration for any number
 //!   of free variables, still gated by the DESIGN.md §6
 //!   `guard_fast_path` ablation flag.
+//! * **Row kernels.** `Apply` computes a row of cells per call — one
+//!   `Func::apply_row` kernel per function, same operations in the
+//!   same order per cell as [`Func::apply`] — and reads a dense
+//!   `Concat` argument through its own arguments, so that `Concat` is
+//!   written only when something else reads it (DESIGN.md §13).
 //! * **Sum-products.** A `Sum`, or an unguarded `Mean`, over a product
 //!   of 0/1 edge/equality atoms is one plan node, [`Kind::SumProduct`],
 //!   over sparse atoms. Its [`SumProductStrategy`] is variable
@@ -55,7 +60,7 @@ use gel_tensor::kernels::{gather_sum_into, gather_sum_scalar};
 
 use crate::ast::{memo_shared, shared_addr, CmpOp, Expr};
 use crate::eval::EvalOptions;
-use crate::func::{Agg, Func};
+use crate::func::{Agg, Func, RowArg, ROW_CELLS};
 use crate::sparse::{
     contract_sum, join_multiply, join_multiway, CoordList, JoinScratch, MAX_JOIN_VARS,
     MAX_WCO_FACTORS,
@@ -128,6 +133,29 @@ pub fn eval_wco_seeks() -> u64 {
 /// runs with the [`SumProductStrategy::Join`] strategy).
 static WCO_JOINS: gel_obs::Counter = gel_obs::Counter::new("eval.wco.joins");
 static WCO_SEEKS: gel_obs::Counter = gel_obs::Counter::new("eval.wco.seeks");
+
+/// The per-kind execution census: `eval.kind.<Kind>.calls` and
+/// `eval.kind.<Kind>.ns`, one slot per [`Kind`] variant. `run_plan`
+/// reads the clock once per node boundary and flushes once per
+/// evaluation.
+macro_rules! kind_census {
+    ($($k:ident),*) => {
+        static KIND_CALLS: [gel_obs::Counter; KINDS] =
+            [$(gel_obs::Counter::new(concat!("eval.kind.", stringify!($k), ".calls"))),*];
+        static KIND_NS: [gel_obs::Counter; KINDS] =
+            [$(gel_obs::Counter::new(concat!("eval.kind.", stringify!($k), ".ns"))),*];
+        impl Kind {
+            fn census_slot(&self) -> usize {
+                enum Slot { $($k),* }
+                match self { $(Kind::$k { .. } => Slot::$k as usize),* }
+            }
+        }
+    };
+}
+const KINDS: usize = 11;
+kind_census!(
+    Label, LabelVec, Edge, CmpEq, CmpNe, Const, Apply, AggDense, AggNbr, MulSparse, SumProduct
+);
 
 /// Scatters a sparse node's entries into its dense slab — the
 /// representation fallback when a dense consumer needs the table.
@@ -209,7 +237,7 @@ impl std::error::Error for PlanError {}
 fn check_cap(nodes: &[Node], cap: Option<usize>) -> Result<(), PlanError> {
     let Some(cap) = cap else { return Ok(()) };
     for nd in nodes {
-        if (!nd.sparse || nd.needs_dense) && nd.len > cap {
+        if nd.needs_dense && nd.len > cap {
             return Err(PlanError::TooDense { len: nd.len, cap });
         }
         let eliminated = matches!(
@@ -227,6 +255,9 @@ fn check_cap(nodes: &[Node], cap: Option<usize>) -> Result<(), PlanError> {
 /// outer-assignment loop is split across rayon threads; below it the
 /// dispatch overhead dominates.
 const PAR_MIN_WORK: usize = 1 << 14;
+
+/// The most arguments an `Apply` reads through folded `Concat`s.
+const MAX_FOLDED_ARGS: usize = 64;
 
 /// Zero strides for the guard-less aggregation path (a digit may never
 /// index past 255 distinct `u8` variables).
@@ -414,7 +445,8 @@ struct Node {
     kind: Kind,
     /// The node emits a sparse (coordinate-list) representation.
     sparse: bool,
-    /// Some consumer — or the root — reads the dense slab.
+    /// Some consumer — or the root — reads the dense slab. A dense node
+    /// without it (a folded `Concat`) gets no slab and never runs.
     needs_dense: bool,
     /// Some consumer reads the sparse entries.
     sparse_used: bool,
@@ -432,7 +464,6 @@ struct ExecScratch {
     result: Vec<f64>,
     digits: Vec<usize>,
     inner_digits: Vec<usize>,
-    offsets: Vec<usize>,
     bounds: Vec<usize>,
     /// Sorted-merge-join scratch shared by every sparse kernel.
     join: JoinScratch,
@@ -585,12 +616,25 @@ impl EvalEngine {
             }
             self.nodes[self.root].data = root_data;
         }
+        let mut census = [(0u64, 0u64); KINDS];
+        let mut t0 = std::time::Instant::now();
         for i in 0..self.nodes.len() {
+            if !self.nodes[i].needs_dense && !self.nodes[i].sparse_used {
+                continue; // a `Concat` every consumer reads through
+            }
             let mut data = std::mem::take(&mut self.nodes[i].data);
             let mut sp = std::mem::take(&mut self.nodes[i].sp);
             exec_node(&self.nodes, i, &mut data, &mut sp, g, self.n, &mut self.scratch);
             self.nodes[i].data = data;
             self.nodes[i].sp = sp;
+            let t1 = std::time::Instant::now();
+            let slot = &mut census[self.nodes[i].kind.census_slot()];
+            *slot = (slot.0 + 1, slot.1 + (t1 - t0).as_nanos() as u64);
+            t0 = t1;
+        }
+        for (k, &(calls, ns)) in census.iter().enumerate() {
+            KIND_CALLS[k].add(calls);
+            KIND_NS[k].add(ns);
         }
         if self.root_sparse {
             // Copy the root's coordinate list into the table's
@@ -613,7 +657,13 @@ impl EvalEngine {
     /// next call re-acquires a root slab from the pool; use the
     /// borrowing variant on zero-allocation hot paths.
     pub fn eval_owned(&mut self, expr: &Expr, g: &Graph) -> EmbeddingTable {
-        self.eval(expr, g);
+        self.try_eval_owned(expr, g).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::eval_owned`], but fails on the plans [`Self::try_eval`]
+    /// rejects.
+    pub fn try_eval_owned(&mut self, expr: &Expr, g: &Graph) -> Result<EmbeddingTable, PlanError> {
+        self.try_eval(expr, g)?;
         if self.root_table.is_sparse() {
             // Swap in an empty shell of the same shape so a later
             // cached-plan call still finds matching vars/dim.
@@ -624,12 +674,12 @@ impl EvalEngine {
                 Vec::new(),
                 Vec::new(),
             );
-            return std::mem::replace(&mut self.root_table, shell);
+            return Ok(std::mem::replace(&mut self.root_table, shell));
         }
         let vars = self.root_table.vars().to_vec();
         let dim = self.root_table.dim();
         let data = self.root_table.take_data();
-        EmbeddingTable::from_parts(vars, dim, self.n, data)
+        Ok(EmbeddingTable::from_parts(vars, dim, self.n, data))
     }
 
     /// Lowers a fresh plan unless the cached one already matches
@@ -708,7 +758,7 @@ impl EvalEngine {
                 let nd = &self.nodes[i];
                 (nd.len, nd.dim, nd.sparse, nd.needs_dense, reserve(nd))
             };
-            if !sparse || needs_dense {
+            if needs_dense {
                 self.nodes[i].data = self.pool.take(len);
             }
             if sparse {
@@ -737,22 +787,16 @@ impl EvalEngine {
         // Size the shared serial-path scratch once per plan.
         let mut max_p = 0;
         let mut max_q = 0;
-        let mut max_args = 0;
         for node in &self.nodes {
             max_p = max_p.max(node.vars.len());
             match &node.kind {
                 Kind::AggDense { over_len, .. } => max_q = max_q.max(*over_len),
-                Kind::Apply { args, .. } => max_args = max_args.max(args.len()),
-                Kind::MulSparse { args, driver_pos, .. } => {
-                    max_args = max_args.max(args.len());
-                    max_q = max_q.max(driver_pos.len());
-                }
+                Kind::MulSparse { driver_pos, .. } => max_q = max_q.max(driver_pos.len()),
                 _ => {}
             }
         }
         self.scratch.digits.resize(max_p, 0);
         self.scratch.inner_digits.resize(max_q, 0);
-        self.scratch.offsets.resize(max_args, 0);
         self.cache_key = Some(key);
         PLAN_BUILDS.incr();
         PLAN_NODES.add(self.nodes.len() as u64);
@@ -901,10 +945,27 @@ impl EvalEngine {
                     }
                 }
             }
-            for &i in &arg_nodes {
+            // Every `Func` reads the concatenation of its arguments, so a
+            // dense `Concat` argument is read through its own arguments:
+            // the same bits, and no concatenated slab unless some other
+            // consumer (or the root) reads it. Up to `MAX_FOLDED_ARGS`
+            // inputs, so a doubling `Concat` DAG stays a linear plan.
+            let mut inputs = Vec::with_capacity(arg_nodes.len());
+            for (k, &i) in arg_nodes.iter().enumerate() {
+                match &self.nodes[i].kind {
+                    Kind::Apply { func: Func::Concat, args, .. }
+                        if inputs.len() + args.len() + arg_nodes.len() - k - 1
+                            <= MAX_FOLDED_ARGS =>
+                    {
+                        inputs.extend(args.iter().map(|a| a.node))
+                    }
+                    _ => inputs.push(i),
+                }
+            }
+            for &i in &inputs {
                 self.nodes[i].needs_dense = true;
             }
-            let specs = arg_nodes
+            let specs = inputs
                 .iter()
                 .map(|&i| ArgSpec {
                     node: i,
@@ -1480,19 +1541,34 @@ fn push_acc(agg: Agg, acc: &mut [f64], x: &[f64], count: usize) {
     }
 }
 
-/// Splits `total_cells` into contiguous per-thread ranges (element
-/// bounds, cell-aligned) for `rayon::par_parts_mut`.
-fn chunk_bounds(bounds: &mut Vec<usize>, total_cells: usize, dim: usize) -> bool {
-    let threads = rayon::current_num_threads();
-    if threads < 2 || total_cells < 2 {
-        return false;
+/// Runs a dense kernel, `kernel(part, start_cell, cells, digits, aux)`,
+/// over all of `out`, the slab of `node`. Once its work (cells ×
+/// `cell_work`) reaches [`PAR_MIN_WORK`] the cells split into
+/// contiguous per-thread ranges (`rayon::par_parts_mut`), each with its
+/// own odometer and `aux_len` auxiliary digits; otherwise one serial
+/// call uses the shared scratch. Every range replays the serial
+/// per-cell order, so the bits do not depend on the thread count.
+fn for_chunks(
+    out: &mut [f64],
+    node: &Node,
+    cell_work: usize,
+    aux_len: usize,
+    s: &mut ExecScratch,
+    kernel: impl Fn(&mut [f64], usize, usize, &mut [usize], &mut [usize]) + Sync,
+) {
+    let (d, p) = (node.dim, node.vars.len());
+    let total = out.len().checked_div(d).unwrap_or(0);
+    let parts = rayon::current_num_threads().min(total);
+    if total.saturating_mul(cell_work) < PAR_MIN_WORK || parts < 2 {
+        return kernel(out, 0, total, &mut s.digits[..p], &mut s.inner_digits[..aux_len]);
     }
-    let parts = threads.min(total_cells);
-    bounds.clear();
-    for t in 0..=parts {
-        bounds.push(total_cells * t / parts * dim);
-    }
-    true
+    s.bounds.clear();
+    s.bounds.extend((0..=parts).map(|t| total * t / parts * d));
+    let bounds = &s.bounds[..];
+    rayon::par_parts_mut(out, bounds, |t, part| {
+        let (mut digits, mut aux) = (vec![0; p], vec![0; aux_len]);
+        kernel(part, bounds[t] / d, part.len() / d, &mut digits, &mut aux);
+    });
 }
 
 fn exec_node(
@@ -1564,125 +1640,23 @@ fn exec_node(
         }
         Kind::Const { values } => out.copy_from_slice(values),
         Kind::Apply { func, args, d_in } => {
-            let p = node.vars.len();
-            let total = node.len.checked_div(d).unwrap_or(0);
-            let work = total.saturating_mul(d_in + d);
-            if work >= PAR_MIN_WORK && chunk_bounds(&mut scratch.bounds, total, d) {
-                let bounds = &scratch.bounds[..];
-                rayon::par_parts_mut(out, bounds, |t, part| {
-                    let mut input = Vec::with_capacity(*d_in);
-                    let mut result = Vec::with_capacity(d);
-                    let mut digits = vec![0usize; p];
-                    let mut offsets = vec![0usize; args.len()];
-                    run_apply(
-                        nodes,
-                        func,
-                        args,
-                        part,
-                        bounds[t] / d.max(1),
-                        part.len() / d.max(1),
-                        n,
-                        d,
-                        &mut input,
-                        &mut result,
-                        &mut digits,
-                        &mut offsets,
-                    );
-                });
-            } else {
-                let digits = &mut scratch.digits[..p];
-                let offsets = &mut scratch.offsets[..args.len()];
-                run_apply(
-                    nodes,
-                    func,
-                    args,
-                    out,
-                    0,
-                    total,
-                    n,
-                    d,
-                    &mut scratch.input,
-                    &mut scratch.result,
-                    digits,
-                    offsets,
-                );
-            }
+            for_chunks(out, node, d_in + d, 0, scratch, |part, start, cells, digits, _| {
+                run_apply(nodes, func, args, part, start, cells, n, d, digits)
+            });
         }
         Kind::AggDense { agg, value, guard, over_len, inner_cells } => {
-            let p = node.vars.len();
-            let total = node.len.checked_div(d).unwrap_or(0);
-            let work = total.saturating_mul(*inner_cells).saturating_mul(d.max(1));
-            if work >= PAR_MIN_WORK && chunk_bounds(&mut scratch.bounds, total, d) {
-                let bounds = &scratch.bounds[..];
-                rayon::par_parts_mut(out, bounds, |t, part| {
-                    let mut digits = vec![0usize; p];
-                    let mut inner_digits = vec![0usize; *over_len];
-                    run_agg_dense(
-                        nodes,
-                        *agg,
-                        value,
-                        guard.as_ref(),
-                        part,
-                        bounds[t] / d.max(1),
-                        part.len() / d.max(1),
-                        n,
-                        d,
-                        *inner_cells,
-                        &mut digits,
-                        &mut inner_digits,
-                    );
-                });
-            } else {
-                let (digits, inner_digits) =
-                    (&mut scratch.digits[..p], &mut scratch.inner_digits[..*over_len]);
-                run_agg_dense(
-                    nodes,
-                    *agg,
-                    value,
-                    guard.as_ref(),
-                    out,
-                    0,
-                    total,
-                    n,
-                    d,
-                    *inner_cells,
-                    digits,
-                    inner_digits,
-                );
-            }
+            let w = inner_cells.saturating_mul(d.max(1));
+            for_chunks(out, node, w, *over_len, scratch, |part, c0, cells, digits, inner| {
+                let (v, g0, ic) = (value, guard.as_ref(), *inner_cells);
+                run_agg_dense(nodes, *agg, v, g0, part, c0, cells, n, d, ic, digits, inner)
+            });
         }
         Kind::AggNbr { agg, value, x_pos, y_stride, outgoing } => {
-            let p = node.vars.len();
-            let total = node.len.checked_div(d).unwrap_or(0);
-            let avg_deg = g.num_arcs() / n.max(1) + 1;
-            let work = total.saturating_mul(avg_deg).saturating_mul(d.max(1));
-            if work >= PAR_MIN_WORK && chunk_bounds(&mut scratch.bounds, total, d) {
-                let bounds = &scratch.bounds[..];
-                rayon::par_parts_mut(out, bounds, |t, part| {
-                    let mut digits = vec![0usize; p];
-                    run_agg_nbr(
-                        nodes,
-                        g,
-                        *agg,
-                        value,
-                        *x_pos,
-                        *y_stride,
-                        *outgoing,
-                        part,
-                        bounds[t] / d.max(1),
-                        part.len() / d.max(1),
-                        n,
-                        d,
-                        &mut digits,
-                    );
-                });
-            } else {
-                let digits = &mut scratch.digits[..p];
-                run_agg_nbr(
-                    nodes, g, *agg, value, *x_pos, *y_stride, *outgoing, out, 0, total, n, d,
-                    digits,
-                );
-            }
+            let cell_work = (g.num_arcs() / n.max(1) + 1).saturating_mul(d.max(1));
+            for_chunks(out, node, cell_work, 0, scratch, |part, start, cells, digits, _| {
+                let (x, y, dir) = (*x_pos, *y_stride, *outgoing);
+                run_agg_nbr(nodes, g, *agg, value, x, y, dir, part, start, cells, n, d, digits)
+            });
         }
         Kind::MulSparse { func, args, driver, driver_pos, expand_pos } => {
             sp.reset(d);
@@ -1727,10 +1701,13 @@ fn exec_node(
     }
 }
 
-/// The `Apply` kernel over a contiguous output-cell range: gather each
-/// argument's cell through its incremental offset into one packed
-/// input row, apply `func`, write the result row. Identical per-cell
-/// order to the oracle's `for_each_assignment` loop.
+/// The `Apply` kernel over a contiguous output-cell range, a row at a
+/// time: a row is a run of at most [`ROW_CELLS`] cells along the
+/// innermost output digit, in which every argument's offset advances by
+/// one fixed stride (its innermost-digit stride), so one
+/// [`Func::apply_row`] call computes the whole run. The range may start
+/// or end mid-row (a parallel chunk); cells keep the oracle's
+/// `for_each_assignment` order.
 #[allow(clippy::too_many_arguments)]
 fn run_apply(
     nodes: &[Node],
@@ -1741,47 +1718,35 @@ fn run_apply(
     cells: usize,
     n: usize,
     d: usize,
-    input: &mut Vec<f64>,
-    result: &mut Vec<f64>,
     digits: &mut [usize],
-    offsets: &mut [usize],
 ) {
     if cells == 0 {
         return;
     }
     decompose(start_cell, n, digits);
-    for (o, arg) in offsets.iter_mut().zip(args) {
-        *o = dot(digits, &arg.strides);
-    }
-    for c in 0..cells {
-        input.clear();
-        for (o, arg) in offsets.iter().zip(args) {
-            input.extend_from_slice(&nodes[arg.node].data[*o..*o + arg.dim]);
-        }
-        func.apply(input, result);
-        out[c * d..(c + 1) * d].copy_from_slice(result);
-        if c + 1 < cells {
-            advance_args(digits, n, args, offsets);
-        }
-    }
-}
-
-#[inline]
-fn advance_args(digits: &mut [usize], n: usize, args: &[ArgSpec], offsets: &mut [usize]) {
-    let mut j = digits.len();
+    let p = digits.len();
+    let mut done = 0;
     loop {
-        debug_assert!(j > 0, "advanced past the last assignment");
-        j -= 1;
-        digits[j] += 1;
-        if digits[j] < n {
-            for (o, arg) in offsets.iter_mut().zip(args) {
-                *o += arg.strides[j];
-            }
+        let run = if p == 0 { 1 } else { n - digits[p - 1] }.min(cells - done).min(ROW_CELLS);
+        let row = args.iter().map(|arg| RowArg {
+            data: &nodes[arg.node].data,
+            off: dot(digits, &arg.strides),
+            stride: arg.strides.last().copied().unwrap_or(0),
+            dim: arg.dim,
+        });
+        func.apply_row(row, run, &mut out[done * d..(done + run) * d]);
+        done += run;
+        if done == cells {
             return;
         }
-        digits[j] = 0;
-        for (o, arg) in offsets.iter_mut().zip(args) {
-            *o -= arg.strides[j] * (n - 1);
+        // Step the odometer `run` cells along the row, carrying out of it.
+        digits[p - 1] += run;
+        for j in (1..p).rev() {
+            if digits[j] < n {
+                break;
+            }
+            digits[j] = 0;
+            digits[j - 1] += 1;
         }
     }
 }
@@ -2250,6 +2215,149 @@ mod tests {
                 assert_eq!(eng.eval(e, &g), &want, "thread count {threads} changed {e}");
                 rayon::set_num_threads(0);
             }
+        }
+    }
+
+    /// A value no float kernel may round away: NaN, ±0, ±∞, a
+    /// subnormal, or a plain number. The NaN is the one the hardware
+    /// makes for ∞ − ∞, as every NaN the battery's arithmetic makes:
+    /// Rust leaves unspecified which NaN a result carries when two NaNs
+    /// with different bits meet (LLVM may commute an add), so inputs
+    /// carry one NaN pattern and every NaN's bits stay comparable.
+    fn special(rng: &mut StdRng) -> f64 {
+        let nan = std::hint::black_box(f64::INFINITY) - f64::INFINITY;
+        [nan, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 5e-324, -1e-310, 1.5, -2.25]
+            [rng.gen_range(0..9usize)]
+    }
+
+    /// A graph on `n` vertices whose 2-wide labels are [`special`].
+    fn special_graph(n: usize, rng: &mut StdRng) -> Graph {
+        let g = random_graph(n, 1, rng);
+        let labels = (0..2 * n).map(|_| special(rng)).collect();
+        g.with_labels(labels, 2)
+    }
+
+    /// A random dense table over `vars` (0–3 variables, in any order
+    /// of construction): a constant, labels, edge and comparison atoms,
+    /// sums of labels, a `Concat`, or a copy with
+    /// two variables swapped, so argument strides differ per digit.
+    fn random_arg(vars: &[Var], rng: &mut StdRng) -> Expr {
+        match (vars, rng.gen_range(0..4)) {
+            ([], _) => constant((0..rng.gen_range(1..=3)).map(|_| special(rng)).collect()),
+            ([v], 0) => lab(rng.gen_range(0..2), *v),
+            ([v], _) => lab_vec(*v, 2),
+            ([a, b, ..], 0) => {
+                let pair = [edge(*a, *b), eq(*b, *a), ne(*a, *b)];
+                pair[rng.gen_range(0..3usize)].clone()
+            }
+            ([a, b, ..], 1) => random_arg(&[*b, *a], rng).swap_vars(*a, *b),
+            (_, 2) => apply(Func::Concat, vars.iter().map(|&v| random_arg(&[v], rng)).collect()),
+            (_, _) => {
+                let labs = vars.iter().map(|&v| lab(rng.gen_range(0..2), v)).collect();
+                apply(Func::Add { arity: vars.len(), dim: 1 }, labs)
+            }
+        }
+    }
+
+    /// A random `Func` that accepts `d_in` input components, one of each
+    /// variant by `pick`, with special values in its parameters.
+    fn random_func(pick: usize, d_in: usize, rng: &mut StdRng) -> Func {
+        match pick % 8 {
+            0 => {
+                let d_out = rng.gen_range(1..=3);
+                let rows: Vec<Vec<f64>> =
+                    (0..d_in).map(|_| (0..d_out).map(|_| special(rng)).collect()).collect();
+                let rows: Vec<&[f64]> = rows.iter().map(|r| &r[..]).collect();
+                let bias = (0..d_out).map(|_| special(rng)).collect();
+                Func::Linear { weights: gel_tensor::Matrix::from_rows(&rows), bias }
+            }
+            1 => {
+                use gel_tensor::Activation::*;
+                let acts = [Identity, ReLU, Sigmoid, Tanh, Sign, Step, ClippedReLU];
+                Func::Act(acts[rng.gen_range(0..acts.len())])
+            }
+            2 => Func::Concat,
+            3 | 4 => {
+                let divisors: Vec<usize> = (1..=d_in).filter(|&k| d_in.is_multiple_of(k)).collect();
+                let dim = divisors[rng.gen_range(0..divisors.len())];
+                let arity = d_in / dim;
+                if pick % 8 == 3 {
+                    Func::Add { arity, dim }
+                } else {
+                    Func::Mul { arity, dim }
+                }
+            }
+            5 => Func::Scale(special(rng)),
+            6 => {
+                let start = rng.gen_range(0..d_in);
+                Func::Proj { start, len: rng.gen_range(0..=d_in - start) }
+            }
+            _ => Func::Hash { seed: rng.gen() },
+        }
+    }
+
+    fn assert_bits_match_oracle(e: &Expr, g: &Graph) {
+        let want = bits(&oracle_eval(e, g));
+        for threads in [1, 4] {
+            rayon::set_num_threads(threads);
+            let mut eng = EvalEngine::new();
+            assert_eq!(bits(eng.eval(e, g)), want, "{threads} threads: {e}");
+            assert_eq!(bits(eng.eval(e, g)), want, "cached plan, {threads} threads: {e}");
+            rayon::set_num_threads(0);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        // Every `Func` variant over arguments of 0–3 variables, swapped
+        // variables and special values, bit for bit against the oracle,
+        // alone and in the shapes `Concat` folding rewrites: a `Concat`
+        // argument, a `Concat` two consumers read, a `Concat` the
+        // aggregation also reads, and a `Concat` root.
+        #[test]
+        fn every_func_matches_oracle_bit_for_bit(seed in 0u64..1_000_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = special_graph(2 + (seed % 4) as usize, &mut rng);
+            let all: [Var; 3] = [1, 2, 3];
+            let arg = |rng: &mut StdRng| {
+                let vars: Vec<Var> = all.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
+                random_arg(&vars, rng)
+            };
+            let args: Vec<Expr> = (0..rng.gen_range(1..=3)).map(|_| arg(&mut rng)).collect();
+            let cat = share(apply(Func::Concat, args.clone()));
+            let other = arg(&mut rng);
+            let d_in = |es: &[Expr]| es.iter().map(|e| e.validate().unwrap()).sum::<usize>();
+            let pick = (seed / 7) as usize;
+            let f = random_func(pick, d_in(&args), &mut rng);
+            let f_cat = random_func(pick + 1, d_in(&[cat.clone(), other.clone()]), &mut rng);
+            let h = hash(seed, cat.clone());
+            let mut shapes = vec![
+                apply(f, args.clone()),
+                apply(f_cat, vec![cat.clone(), other]),
+                apply(Func::Concat, vec![h.clone(), hash(seed + 1, cat.clone())]),
+                apply(Func::Concat, vec![h, agg_over(Agg::Sum, vec![3], cat.clone(), None)]),
+                apply(Func::Concat, args),
+            ];
+            shapes.retain(|e| e.validate().is_ok_and(|d| d > 0));
+            for e in &shapes {
+                assert_bits_match_oracle(e, &g);
+            }
+        }
+    }
+
+    /// Parallel `Apply` chunks that start mid-row, and rows longer than
+    /// one [`ROW_CELLS`] run: bit for bit against the oracle at 1 and 4
+    /// threads. At n = 27 over three variables the 4-way split falls 6
+    /// cells into a row; at n = 70 every row takes two runs.
+    #[test]
+    fn apply_rows_split_mid_row_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x0DD);
+        for (n, vars) in [(27, vec![1, 2, 3]), (70, vec![1, 2])] {
+            let g = special_graph(n, &mut rng);
+            assert!(n.pow(vars.len() as u32) / 4 % n != 0);
+            let wide = apply(Func::Concat, vars.iter().map(|&v| lab_vec(v, 2)).collect());
+            let e = apply(Func::Concat, vec![hash(1, wide.clone()), relu(wide.swap_vars(1, 2))]);
+            assert_bits_match_oracle(&e, &g);
         }
     }
 
