@@ -14,7 +14,8 @@
 //! intermediate slab and the output table are reused (checked on the
 //! CR readout and the n = 48 2-WL readout). It also asserts the
 //! generic join is at least 5× the binary plan on the hub 4-cycle
-//! probe.
+//! probe, and that each served sum-product read of the census totals
+//! the same as its hand-written CSR loop.
 
 use gel_experiments::bench::{self, min_secs_per_iter};
 use gel_graph::random::erdos_renyi;
@@ -164,6 +165,27 @@ fn main() {
              {hub_speedup:.2}x over the binary join plan (gate: >= 5x)"
         );
         println!("smoke OK: wco join >= 5x over binary plan on the hub 4-cycle probe");
+    }
+
+    // The query server's sum-product reads, each beside a hand-written
+    // loop over sorted CSR neighbour slices computing the same entries.
+    // Smoke checks the totals agree; the times are reported, not gated.
+    println!("\ncensus reads: served sum-products, engine vs CSR loop");
+    for r in bench::census_reads(rounds, if smoke { 1 } else { 10 }) {
+        println!(
+            "  {:<32} engine {:>9.2} µs  loop {:>9.2} µs  ratio {:>5.2}x  total {}",
+            r.name,
+            r.engine_s * 1e6,
+            r.loop_s * 1e6,
+            r.ratio(),
+            r.engine_total,
+        );
+        if smoke {
+            assert_eq!(r.engine_total, r.loop_total, "{}: engine and loop totals differ", r.name);
+        }
+    }
+    if smoke {
+        println!("smoke OK: every census read's engine total equals its CSR loop's");
     }
 
     // Zero-allocation gate: after the sizing call, evaluating the same

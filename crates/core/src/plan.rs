@@ -34,9 +34,12 @@
 //!   written only when something else reads it (DESIGN.md §13).
 //! * **Sum-products.** A `Sum`, or an unguarded `Mean`, over a product
 //!   of 0/1 edge/equality atoms is one plan node, [`Kind::SumProduct`],
-//!   over sparse atoms. Its [`SumProductStrategy`] is variable
-//!   elimination or, on cyclic shapes, the worst-case-optimal join.
-//!   Both compute the exact integer sums into one sparse output; a
+//!   over its atoms. Its [`SumProductStrategy`] is variable
+//!   elimination over the atoms' sparse lists or, on cyclic shapes,
+//!   the worst-case-optimal join over the graph's CSR, which reads no
+//!   atom list (so an atom only the join reads never runs) and stops
+//!   under a cap once its output passes it. Both compute the exact
+//!   integer sums into one sparse output; a
 //!   `Mean` then divides them by `n^|over|`, the dense kernel's one
 //!   division. The only other sparse kernel is [`Kind::MulSparse`], a
 //!   scalar product with a sparse factor; every other consumer reads a
@@ -62,7 +65,7 @@ use crate::ast::{memo_shared, shared_addr, CmpOp, Expr};
 use crate::eval::EvalOptions;
 use crate::func::{Agg, Func, RowArg, ROW_CELLS};
 use crate::sparse::{
-    contract_sum, join_multiply, join_multiway, CoordList, JoinScratch, MAX_JOIN_VARS,
+    contract_sum, join_multiply, CoordList, CsrJoin, JoinAtom, JoinScratch, MAX_JOIN_VARS,
     MAX_WCO_FACTORS,
 };
 use crate::table::{EmbeddingTable, Var};
@@ -122,8 +125,8 @@ pub fn eval_dense_fallbacks() -> u64 {
 static SPARSE_NNZ: gel_obs::Counter = gel_obs::Counter::new("eval.sparse.nnz");
 static DENSE_FALLBACKS: gel_obs::Counter = gel_obs::Counter::new("eval.sparse.fallbacks");
 
-/// Leapfrog seeks performed across all wco joins (the kernel's
-/// intersection work — the quantity the AGM bound caps; the
+/// Sorted neighbour-slice intersections performed across all CSR joins
+/// (the join's intersection work — the quantity the AGM bound caps; the
 /// `eval.wco.seeks` counter) since the last [`gel_obs::reset`].
 pub fn eval_wco_seeks() -> u64 {
     WCO_SEEKS.get()
@@ -201,9 +204,11 @@ pub enum PlanError {
         n: usize,
     },
     /// An eliminated sum-product's output bound (its `est_nnz`)
-    /// exceeds the caller's cap.
+    /// exceeds the caller's cap, or a joined sum-product's output list
+    /// grew past it.
     TooManyEntries {
-        /// Upper bound on the output's entries.
+        /// Upper bound on the output's entries (for a join, the entries
+        /// it held when it stopped).
         bound: usize,
         /// The caller's cap.
         cap: usize,
@@ -231,9 +236,10 @@ impl std::fmt::Display for PlanError {
 impl std::error::Error for PlanError {}
 
 /// The cap pre-pass: every dense slab a node will own, and every
-/// eliminated sum-product's output bound, must fit under the cap. Other
-/// sparse lists are bounded only by their callers' result checks
-/// (DESIGN.md §10).
+/// eliminated sum-product's output bound, must fit under the cap. A
+/// joined sum-product stops once its list passes the cap; other sparse
+/// lists are bounded only by their callers' result checks (DESIGN.md
+/// §10).
 fn check_cap(nodes: &[Node], cap: Option<usize>) -> Result<(), PlanError> {
     let Some(cap) = cap else { return Ok(()) };
     for nd in nodes {
@@ -391,14 +397,11 @@ enum Kind {
         expand_pos: Vec<usize>,
     },
     /// `Sum` or unguarded `Mean` over a pure product of edge/equality
-    /// indicators, evaluated by `strategy` over the factors' sparse
-    /// lists into a sparse output instead of a dense `n^k` sweep. Exact:
-    /// 0/1 factors make every partial sum an integer, so reassociating
-    /// the sum cannot change the float; a `Mean` then divides that sum
-    /// once, as the dense kernel does.
+    /// indicators, evaluated by `strategy` into a sparse output instead
+    /// of a dense `n^k` sweep. Exact: 0/1 factors make every partial sum
+    /// an integer, so reassociating the sum cannot change the float; a
+    /// `Mean` then divides that sum once, as the dense kernel does.
     SumProduct {
-        factors: Vec<usize>,
-        factor_vars: Vec<Vec<Var>>,
         strategy: SumProductStrategy,
         /// Number of aggregated variables in no factor — each multiplies
         /// the (integer) result by `n`, exactly.
@@ -411,18 +414,16 @@ enum Kind {
 /// How a [`Kind::SumProduct`] contracts its factors.
 enum SumProductStrategy {
     /// FAQ-style variable elimination in min-degree order (paper slide
-    /// 70): join the factors holding each variable, sum it out.
-    Eliminate { order: Vec<Var> },
-    /// The worst-case-optimal multiway join
-    /// ([`crate::sparse::join_multiway`]) for *cyclic* products: every
-    /// factor is intersected per variable of one AGM-aware order, so no
-    /// binary-join intermediate can exceed the output size (triangles,
-    /// k-cycles, k-cliques).
-    Join {
-        /// Free variables (ascending) then eliminated variables in the
-        /// order from [`gel_graph::elim::wco_order_masked`].
-        order: Vec<Var>,
-    },
+    /// 70) over the factor nodes' sparse lists: join the factors
+    /// holding each variable, sum it out.
+    Eliminate { factors: Vec<usize>, factor_vars: Vec<Vec<Var>>, order: Vec<Var> },
+    /// The worst-case-optimal join for *cyclic* products, run over the
+    /// graph's CSR ([`CsrJoin`]): every factor is intersected per
+    /// variable of one AGM-aware order (free variables ascending, then
+    /// [`gel_graph::elim::wco_order_masked`]'s), so no binary-join
+    /// intermediate can exceed the output size (triangles, k-cycles,
+    /// k-cliques). It reads the graph handed to exec and no factor node.
+    Join(CsrJoin),
 }
 
 /// One operand of [`Kind::MulSparse`], gathered in expression order so
@@ -580,7 +581,7 @@ impl EvalEngine {
     pub fn try_eval(&mut self, expr: &Expr, g: &Graph) -> Result<&EmbeddingTable, PlanError> {
         CALLS.incr();
         self.ensure_plan_capped(expr, g, None)?;
-        Ok(self.run_plan(g))
+        self.run_plan(g, usize::MAX)
     }
 
     /// Like [`Self::eval`], but fails — *before* lowering allocates any
@@ -599,12 +600,14 @@ impl EvalEngine {
     ) -> Result<&EmbeddingTable, PlanError> {
         CALLS.incr();
         self.ensure_plan_capped(expr, g, Some(cap))?;
-        Ok(self.run_plan(g))
+        self.run_plan(g, cap)
     }
 
     /// Executes the current plan (the exec sweep shared by [`Self::eval`]
-    /// and [`Self::try_eval_capped`]).
-    fn run_plan(&mut self, g: &Graph) -> &EmbeddingTable {
+    /// and [`Self::try_eval_capped`]). A joined sum-product whose list
+    /// passes `cap` stops the sweep; the engine keeps every buffer, so
+    /// the next call runs as if this one never had.
+    fn run_plan(&mut self, g: &Graph, cap: usize) -> Result<&EmbeddingTable, PlanError> {
         let _sp = gel_obs::span("eval.exec");
         if !self.root_sparse {
             let root_len = self.nodes[self.root].len;
@@ -624,9 +627,16 @@ impl EvalEngine {
             }
             let mut data = std::mem::take(&mut self.nodes[i].data);
             let mut sp = std::mem::take(&mut self.nodes[i].sp);
-            exec_node(&self.nodes, i, &mut data, &mut sp, g, self.n, &mut self.scratch);
+            let run =
+                exec_node(&self.nodes, i, &mut data, &mut sp, g, self.n, cap, &mut self.scratch);
             self.nodes[i].data = data;
             self.nodes[i].sp = sp;
+            if let Err(e) = run {
+                if !self.root_sparse {
+                    self.root_table.set_data(std::mem::take(&mut self.nodes[self.root].data));
+                }
+                return Err(e);
+            }
             let t1 = std::time::Instant::now();
             let slot = &mut census[self.nodes[i].kind.census_slot()];
             *slot = (slot.0 + 1, slot.1 + (t1 - t0).as_nanos() as u64);
@@ -650,7 +660,7 @@ impl EvalEngine {
         } else {
             self.root_table.set_data(std::mem::take(&mut self.nodes[self.root].data));
         }
-        &self.root_table
+        Ok(&self.root_table)
     }
 
     /// [`Self::eval`], but moves the result out of the engine. The
@@ -1140,8 +1150,6 @@ impl EvalEngine {
                     let mut factor_vars = Vec::with_capacity(atoms.len());
                     for a in &atoms {
                         let (fi, _) = self.lower(a, g);
-                        self.nodes[fi].sparse = true;
-                        self.nodes[fi].sparse_used = true;
                         factors.push(fi);
                         factor_vars.push(self.nodes[fi].vars.clone());
                     }
@@ -1155,6 +1163,16 @@ impl EvalEngine {
                         all.iter().filter(|v| over.contains(v) && !in_factor(v)).count() as u32;
                     let out_vars: Vec<Var> =
                         all.iter().copied().filter(|v| !over.contains(v)).collect();
+                    // Every output entry extends to a join tuple: the
+                    // AGM bound over the factors' projections onto the
+                    // free variables is a sound output bound (a path
+                    // summed at one end: `m`, not the full join's `m²`).
+                    let est = self.agm_nnz(
+                        &out_vars,
+                        factors
+                            .iter()
+                            .map(|&fi| (&self.nodes[fi].vars[..], self.nodes[fi].est_nnz)),
+                    );
                     // Cyclic residual (induced width ≥ 2): binary
                     // merge-joins materialize intermediates that can
                     // exceed the output (triangles, 4-cycles,
@@ -1183,34 +1201,39 @@ impl EvalEngine {
                         );
                         // Aggregated variables in no factor stay out of
                         // the join order — they are the exact
-                        // `n^free_over` multiplier.
+                        // `n^free_over` multiplier. The join reads the
+                        // CSR, so its atoms build no list: nothing
+                        // else reading them, they do not run.
                         let mut order: Vec<Var> = out_vars.clone();
                         order.extend(elim_ids.iter().map(|&i| all[i as usize]).filter(in_factor));
-                        SumProductStrategy::Join { order }
+                        let join_atoms: Vec<JoinAtom> = atoms
+                            .iter()
+                            .map(|a| match atom_vars(a) {
+                                [from, to] if matches!(a, Expr::Edge { .. }) => {
+                                    JoinAtom::Arc { from, to }
+                                }
+                                [x, y] => JoinAtom::Eq(x, y),
+                            })
+                            .collect();
+                        SumProductStrategy::Join(CsrJoin::new(&join_atoms, &order, out_vars.len()))
                     } else {
                         // Eliminating a variable joins it with its (at
                         // most `width`) neighbours.
                         if width >= MAX_JOIN_VARS || n.checked_pow(width as u32 + 1).is_none() {
                             self.too_wide.get_or_insert(PlanError::TooWide { vars: width + 1, n });
                         }
+                        for &fi in &factors {
+                            self.nodes[fi].sparse = true;
+                            self.nodes[fi].sparse_used = true;
+                        }
                         let order = order_ids.iter().map(|&i| all[i as usize]).collect();
-                        SumProductStrategy::Eliminate { order }
+                        SumProductStrategy::Eliminate { factors, factor_vars, order }
                     };
-                    // Every output entry extends to a join tuple: the
-                    // AGM bound over the factors' projections onto the
-                    // free variables is a sound output bound (a path
-                    // summed at one end: `m`, not the full join's `m²`).
-                    let est = self.agm_nnz(
-                        &out_vars,
-                        factors
-                            .iter()
-                            .map(|&fi| (&self.nodes[fi].vars[..], self.nodes[fi].est_nnz)),
-                    );
                     let out_cells = n.checked_pow(out_vars.len() as u32).unwrap_or(usize::MAX);
                     let mut node = self.make_node(
                         out_vars,
                         1,
-                        Kind::SumProduct { factors, factor_vars, strategy, free_over, mean_div },
+                        Kind::SumProduct { strategy, free_over, mean_div },
                     );
                     node.sparse = true;
                     node.est_nnz = est.clamp(1, out_cells.max(1));
@@ -1571,6 +1594,7 @@ fn for_chunks(
     });
 }
 
+#[allow(clippy::too_many_arguments)]
 fn exec_node(
     nodes: &[Node],
     i: usize,
@@ -1578,8 +1602,9 @@ fn exec_node(
     sp: &mut CoordList,
     g: &Graph,
     n: usize,
+    cap: usize,
     scratch: &mut ExecScratch,
-) {
+) -> Result<(), PlanError> {
     let node = &nodes[i];
     let d = node.dim;
     // The sparse kernels run serially — their cost is O(nnz), far below
@@ -1678,19 +1703,8 @@ fn exec_node(
                 &mut scratch.join,
             );
         }
-        Kind::SumProduct { factors, factor_vars, strategy, free_over, mean_div } => {
-            run_sum_product(
-                nodes,
-                factors,
-                factor_vars,
-                strategy,
-                node.vars.len(),
-                *free_over,
-                *mean_div,
-                sp,
-                n,
-                scratch,
-            );
+        Kind::SumProduct { strategy, free_over, mean_div } => {
+            run_sum_product(nodes, strategy, *free_over, *mean_div, sp, g, cap, scratch)?;
         }
     }
     if node.sparse {
@@ -1699,6 +1713,7 @@ fn exec_node(
             densify(sp, out);
         }
     }
+    Ok(())
 }
 
 /// The `Apply` kernel over a contiguous output-cell range, a row at a
@@ -1941,54 +1956,49 @@ fn run_mul_sparse(
 }
 
 /// The sum-product kernel (`Sum` or unguarded `Mean` over a product of
-/// 0/1 indicator factors): copy each factor's coordinate list into the
-/// scratch arena, contract it by `strategy` into `sp_out`, then scale
-/// every (integer) sum by `n^free_over` for aggregated variables no
-/// factor constrains and, for a `Mean`, divide it by `mean_div` — the
-/// one division the dense kernel makes (absent cells stay `+0.0`, as
-/// `0.0 / mean_div` would be). All arithmetic before the division is
-/// on integers below 2^53, so the reassociated sums are exact —
-/// bit-identical to the dense sweep. Arena and join-scratch capacities
-/// persist across evaluations, so the warmed path allocates nothing.
+/// 0/1 indicator factors): contract the factors by `strategy` into
+/// `sp_out` — elimination over copies of the factors' lists in the
+/// scratch arena, the join over `g`'s CSR, stopping once its list
+/// passes `cap` — then scale every (integer) sum by `n^free_over` for
+/// aggregated variables no factor constrains and, for a `Mean`, divide
+/// it by `mean_div` — the one division the dense kernel makes (absent
+/// cells stay `+0.0`, as `0.0 / mean_div` would be). All arithmetic
+/// before the division is on integers below 2^53, so the reassociated
+/// sums are exact — bit-identical to the dense sweep. Arena and
+/// join-scratch capacities persist across evaluations, so the warmed
+/// path allocates nothing.
 #[allow(clippy::too_many_arguments)]
 fn run_sum_product(
     nodes: &[Node],
-    factors: &[usize],
-    factor_vars: &[Vec<Var>],
     strategy: &SumProductStrategy,
-    n_free: usize,
     free_over: u32,
     mean_div: Option<f64>,
     sp_out: &mut CoordList,
-    n: usize,
+    g: &Graph,
+    cap: usize,
     s: &mut ExecScratch,
-) {
-    let k = factors.len();
-    while s.arena.len() < k {
-        s.arena.push(CoordList::default());
-        s.avars.push(Vec::new());
-    }
-    for (slot, &fi) in factors.iter().enumerate() {
-        s.arena[slot].copy_from_list(&nodes[fi].sp);
-    }
+) -> Result<(), PlanError> {
     match strategy {
-        SumProductStrategy::Eliminate { order } => eliminate(factor_vars, order, sp_out, n, s),
-        SumProductStrategy::Join { order } => {
-            let seeks = join_multiway(
-                &mut s.arena[..k],
-                factor_vars,
-                order,
-                n_free,
-                n,
-                &mut s.join,
-                sp_out,
-            );
+        SumProductStrategy::Eliminate { factors, factor_vars, order } => {
+            while s.arena.len() < factors.len() {
+                s.arena.push(CoordList::default());
+                s.avars.push(Vec::new());
+            }
+            for (slot, &fi) in factors.iter().enumerate() {
+                s.arena[slot].copy_from_list(&nodes[fi].sp);
+            }
+            eliminate(factor_vars, order, sp_out, g.num_vertices(), s);
+        }
+        SumProductStrategy::Join(join) => {
             WCO_JOINS.incr();
-            WCO_SEEKS.add(seeks);
+            let intersections = join
+                .run(g, cap, &mut s.join, sp_out)
+                .map_err(|bound| PlanError::TooManyEntries { bound, cap })?;
+            WCO_SEEKS.add(intersections);
         }
     }
     if free_over > 0 {
-        let mult = (n as f64).powi(free_over as i32);
+        let mult = (g.num_vertices() as f64).powi(free_over as i32);
         for v in sp_out.values_mut() {
             *v *= mult;
         }
@@ -1998,6 +2008,7 @@ fn run_sum_product(
             *v /= div;
         }
     }
+    Ok(())
 }
 
 /// Variable elimination over the loaded factor arena: for each
@@ -2871,15 +2882,18 @@ mod tests {
         let e = cyclic_probe(vec![edge(1, 2), edge(2, 3), edge(3, 4), edge(1, 4)], vec![3, 4]);
         let sparse_opts = EvalOptions { sparse_output: true, ..forced_sparse(true) };
         let mut eng = EvalEngine::with_options(sparse_opts);
-        // All nodes sparse (atoms + sum-product root): a cap far below the
-        // n² output admits the plan.
+        // All nodes sparse (atoms + sum-product root): a cap below the
+        // n² output cells admits the plan while its entries fit.
         let want = oracle_eval(&e, &g);
-        let t = eng.try_eval_capped(&e, &g, 64).expect("fully sparse plan fits any cap");
+        let nnz = want.data().iter().filter(|&&v| v != 0.0).count();
+        assert!(nnz < 256, "the probe must leave room below n² cells");
+        let t = eng.try_eval_capped(&e, &g, nnz).expect("fully sparse plan fits its entries");
         assert!(t.is_sparse());
         assert!(t.approx_eq(&want, 0.0));
-        // Cached-plan revalidation: a cap of 0 still admits (no dense
-        // slabs), and the dense engine is rejected up front.
-        assert!(eng.try_eval_capped(&e, &g, 0).is_ok());
+        // Cached-plan revalidation: one entry fewer stops the join, and
+        // the dense engine is rejected up front.
+        let err = eng.try_eval_capped(&e, &g, nnz - 1).unwrap_err();
+        assert_eq!(err, PlanError::TooManyEntries { bound: nnz, cap: nnz - 1 });
         let mut dense_eng = EvalEngine::with_options(EvalOptions {
             sparse_min_cells: usize::MAX,
             ..EvalOptions::default()
@@ -2919,6 +2933,144 @@ mod tests {
         assert!(fresh.nodes[root].est_nnz > 8);
         let (coords, _) = std::mem::take(&mut fresh.nodes[root].sp).into_parts();
         assert!(coords.capacity() <= 8, "reserved {} entries", coords.capacity());
+    }
+
+    /// The 3-star `sum_{x4}(E(x1,x4)·E(x2,x4)·E(x3,x4))` on a 30%-dense
+    /// 80-vertex graph joins to about 456,000 entries, far past a cap of
+    /// 5,000 that its plan passes: the join stops with `TooManyEntries`.
+    /// The same engine then answers the next requests — another shape,
+    /// and the star under a cap it fits — bit for bit as fresh engines.
+    #[test]
+    fn joined_sum_product_stops_at_the_cap() {
+        let g = gel_graph::random::erdos_renyi(80, 0.3, &mut StdRng::seed_from_u64(3));
+        let star = cyclic_probe(vec![edge(1, 4), edge(2, 4), edge(3, 4)], vec![4]);
+        let tri = cyclic_probe(vec![edge(1, 2), edge(2, 3), edge(1, 3)], vec![2, 3]);
+        let opts = EvalOptions { sparse_output: true, ..EvalOptions::default() };
+        let mut eng = EvalEngine::with_options(opts);
+        let err = eng.try_eval_capped(&star, &g, 5000).unwrap_err();
+        assert_eq!(err, PlanError::TooManyEntries { bound: 5001, cap: 5000 });
+        let sparse_bits = |t: &EmbeddingTable| {
+            let coords = t.sparse_coords().expect("sparse root").to_vec();
+            (coords, bits(t))
+        };
+        let fresh = |e: &Expr| sparse_bits(EvalEngine::with_options(opts).eval(e, &g));
+        for e in [&tri, &star] {
+            let got = sparse_bits(eng.try_eval_capped(e, &g, usize::MAX).expect("uncapped"));
+            assert_eq!(got, fresh(e), "{e} after a refusal");
+        }
+        assert_eq!(eng.try_eval_capped(&star, &g, 5000).unwrap_err(), err);
+        assert_eq!(sparse_bits(eng.eval(&tri, &g)), fresh(&tri));
+    }
+
+    /// The plan cache keys on `(dag_hash, n, label_dim)`, so a plan
+    /// lowered on one graph runs on another of the same `n`: the join
+    /// reads the graph it is handed, not the one it was lowered on.
+    #[test]
+    fn cached_join_plan_reads_the_graph_it_is_given() {
+        let mut rng = StdRng::seed_from_u64(0x6A);
+        let (g1, g2) = (random_graph(12, 1, &mut rng), random_graph(12, 1, &mut rng));
+        let e = cyclic_probe(vec![edge(1, 2), edge(2, 3), edge(3, 4), edge(1, 4)], vec![2, 3]);
+        assert!(plans_wco(&e, &g1));
+        let (want1, want2) = (oracle_eval(&e, &g1), oracle_eval(&e, &g2));
+        assert_ne!(want1, want2, "the two graphs must answer differently");
+        let mut eng = EvalEngine::with_options(forced_sparse(true));
+        assert_eq!(eng.eval(&e, &g1), &want1);
+        let key = eng.cache_key;
+        assert_eq!(eng.eval(&e, &g2), &want2);
+        assert_eq!(eng.cache_key, key, "the second graph must reuse the plan");
+        assert_eq!(eng.eval(&e, &g1), &want1);
+    }
+
+    /// A random directed graph on `n` vertices with asymmetric arcs,
+    /// self-loops and, at these densities, isolated vertices.
+    fn random_looped_graph(n: usize, rng: &mut StdRng) -> Graph {
+        let p = rng.gen_range(0.02..0.4);
+        let mut b = GraphBuilder::new(n);
+        for u in 0..n as Vertex {
+            for v in 0..n as Vertex {
+                if rng.gen_bool(if u == v { 0.3 } else { p }) {
+                    b.add_arc(u, v);
+                }
+            }
+        }
+        b.build()
+    }
+
+    /// A random cyclic indicator product on x1..xk (k = 3, or 4 below
+    /// n = 64): a cycle with random arc directions, a chord on k = 4,
+    /// a repeated and a flipped copy of random atoms, an optional
+    /// equality; summed or averaged (unguarded) over all but the first
+    /// `free` variables, plus x5, in no atom, one time in three.
+    fn random_join_probe(n: usize, rng: &mut StdRng) -> Expr {
+        let k: Var = if n >= 64 { 3 } else { rng.gen_range(3..=4) };
+        let arc = |a: Var, b: Var, rng: &mut StdRng| {
+            if rng.gen_bool(0.5) {
+                edge(a, b)
+            } else {
+                edge(b, a)
+            }
+        };
+        let mut atoms: Vec<Expr> = (1..=k).map(|i| arc(i, i % k + 1, rng)).collect();
+        if k == 4 && rng.gen_bool(0.5) {
+            atoms.push(arc(1, 3, rng));
+        }
+        if rng.gen_bool(0.5) {
+            let copy = atoms[rng.gen_range(0..atoms.len())].clone();
+            atoms.push(copy);
+        }
+        if rng.gen_bool(0.5) {
+            if let Expr::Edge { from, to } = atoms[rng.gen_range(0..atoms.len())] {
+                atoms.push(edge(to, from));
+            }
+        }
+        if rng.gen_bool(0.3) {
+            let a = rng.gen_range(1..=k);
+            atoms.push(eq(a, a % k + 1));
+        }
+        let free = rng.gen_range(0..=k);
+        let mut over: Vec<Var> = (free + 1..=k).collect();
+        if over.is_empty() || rng.gen_bool(0.3) {
+            over.push(5);
+        }
+        let agg = if rng.gen_bool(0.5) { Agg::Sum } else { Agg::Mean };
+        let arity = atoms.len();
+        agg_over(agg, over, apply(Func::Mul { arity, dim: 1 }, atoms), None)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        // The CSR join against the interpreter, bit for bit at 1 and 4
+        // threads: random looped digraphs with n ∈ {1, 5, 17, 64},
+        // random cyclic products with flipped, repeated and `=` atoms,
+        // every free-prefix size, `Sum` and unguarded `Mean`.
+        #[test]
+        fn csr_join_matches_oracle_bit_for_bit(seed in 0u64..1_000_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = [1, 5, 17, 64][(seed % 4) as usize];
+            let g = random_looped_graph(n, &mut rng);
+            let e = random_join_probe(n, &mut rng);
+            let want = bits(&oracle_eval(&e, &g));
+            for threads in [1, 4] {
+                rayon::set_num_threads(threads);
+                let mut eng = EvalEngine::with_options(forced_sparse(true));
+                prop_assert_eq!(&bits(eng.eval(&e, &g)), &want, "{} threads: {}", threads, &e);
+                prop_assert_eq!(&bits(eng.eval(&e, &g)), &want, "cached, {} threads: {}", threads, &e);
+                rayon::set_num_threads(0);
+            }
+        }
+    }
+
+    /// Most of [`random_join_probe`]'s shapes take the join, so the
+    /// battery above tests it and not only elimination.
+    #[test]
+    fn random_join_probes_mostly_join() {
+        let mut rng = StdRng::seed_from_u64(0x101);
+        let joined = (0..64).filter(|_| {
+            let g = random_looped_graph(17, &mut rng);
+            plans_wco(&random_join_probe(17, &mut rng), &g)
+        });
+        let joined = joined.count();
+        assert!(joined >= 32, "{joined} of 64 random join probes took the join");
     }
 
     /// The warmed sum-product + sparse-output path performs zero pool

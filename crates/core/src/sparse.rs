@@ -1,6 +1,7 @@
-//! Sparse embedding tables: sorted coordinate lists and the sorted
+//! Sparse embedding tables: sorted coordinate lists, the sorted
 //! merge-join / contraction kernels behind the compiled evaluator's
-//! sparse execution paths (`crate::plan`).
+//! sparse execution paths (`crate::plan`), and the worst-case-optimal
+//! join that runs over a graph's CSR instead of any list ([`CsrJoin`]).
 //!
 //! A [`CoordList`] stores the nonzero cells of a table over variables
 //! `vars` (strictly ascending, as everywhere) as flat row-major cell
@@ -24,7 +25,12 @@
 //! `O((|A| + |B|)·log + |A ⋈ B|·log)` and a sum-contraction of one
 //! variable. Both are restricted by `plan.rs` to integer-valued
 //! indicator factors, where reassociating the sum is exact — see
-//! DESIGN.md §6.
+//! DESIGN.md §6. [`CsrJoin`] is the other sum-product strategy: it
+//! intersects the sorted neighbour slices of `Graph::out_neighbors` /
+//! `Graph::in_neighbors` per variable and counts at the last level,
+//! under the same exactness contract (DESIGN.md §12).
+
+use gel_graph::{Graph, Vertex};
 
 use crate::table::Var;
 
@@ -192,8 +198,8 @@ impl CoordList {
 }
 
 /// Reusable buffers for [`join_multiply`] / [`contract_sum`] /
-/// [`CoordList::sort_entries`] — owned by the engine's scratch so the
-/// warmed sparse path stays allocation-free.
+/// [`CoordList::sort_entries`] / [`CsrJoin::run`] — owned by the
+/// engine's scratch so the warmed sparse path stays allocation-free.
 #[derive(Debug, Default)]
 pub struct JoinScratch {
     /// `(key, original index)` pairs for re-keying one operand.
@@ -217,79 +223,10 @@ pub struct JoinScratch {
     out_shared: Vec<usize>,
     out_a: Vec<usize>,
     out_b: Vec<usize>,
-    /// Worst-case-optimal join state ([`join_multiway`]): per-factor
-    /// per-trie-level digit strides …
-    wco_strides: Vec<Vec<usize>>,
-    /// … the `(factor, trie level)` pairs active at each order depth …
-    wco_active: Vec<Vec<(u32, u32)>>,
-    /// … per-factor stacks of trie ranges (one frame per bound level) …
-    wco_ranges: Vec<Vec<(usize, usize)>>,
-    /// … per-depth leapfrog iterator blocks (reused across the
-    /// recursion so a `descend` call never zero-initialises scratch) …
-    wco_iters: Vec<Vec<LfIter>>,
-    /// … the key radix of each factor (`n.next_power_of_two()` on the
-    /// shift/mask fast path, `n` on the division fallback) …
-    wco_radix: Vec<usize>,
-    /// … and the output-coordinate stride of each free-prefix depth.
-    wco_out_strides: Vec<usize>,
-}
-
-/// One factor's leapfrog iterator at one join depth: a cursor into the
-/// factor's trie-ordered coordinate array, restricted to the subtree
-/// `cur..hi` selected by the already-bound prefix. `base` is the packed
-/// key of that prefix, so the entries binding vertex `v` at this level
-/// occupy the half-open raw-key range `[base + v*below, base +
-/// (v+1)*below)` — every seek is a `partition_point` over plain
-/// `usize` keys with no division in the probe. `dig` caches the vertex
-/// bound by the entry at `cur` (one division per seek, not per probe).
-#[derive(Debug, Clone, Copy)]
-struct LfIter {
-    /// Factor index.
-    f: u32,
-    /// Digit shift of this trie level (shift/mask radix only).
-    shift: u32,
-    /// Current entry, end of the matched run, and subtree end.
-    cur: usize,
-    end: usize,
-    hi: usize,
-    /// Key stride of this trie level (`radix^(q-1-level)`).
-    below: usize,
-    /// Packed key of the bound prefix (digits above this level).
-    base: usize,
-    /// Vertex bound by the entry at `cur`.
-    dig: usize,
-    /// Digit mask (`radix - 1`); zero selects the division fallback.
-    mask: usize,
-}
-
-impl LfIter {
-    /// The vertex bound by raw key `key` at this iterator's level.
-    #[inline]
-    fn dig_of(&self, key: usize) -> usize {
-        if self.mask != 0 {
-            (key >> self.shift) & self.mask
-        } else {
-            (key - self.base) / self.below
-        }
-    }
-}
-
-/// First index in `coords[lo..hi]` whose key is `>= target`, assuming
-/// `coords[lo] < target`: exponential probe forward from `lo`, then a
-/// binary search of the last doubling window. Leapfrog seeks usually
-/// land a handful of entries ahead, so this is `O(log distance)`
-/// instead of `O(log (hi - lo))`.
-#[inline]
-fn gallop(coords: &[usize], lo: usize, hi: usize, target: usize) -> usize {
-    debug_assert!(lo < hi && coords[lo] < target);
-    let mut step = 1usize;
-    let mut base = lo;
-    while base + step < hi && coords[base + step] < target {
-        base += step;
-        step <<= 1;
-    }
-    let end = (base + step + 1).min(hi);
-    base + coords[base..end].partition_point(|&k| k < target)
+    /// The vertex bound at each depth of a [`CsrJoin`] …
+    bound: Vec<Vertex>,
+    /// … and each depth's candidates, when they are an intersection.
+    cands: Vec<Vec<Vertex>>,
 }
 
 /// Writes the base-`n` digits of `cell`, most significant first.
@@ -469,292 +406,330 @@ fn fill_out_strides(block: &[Var], out_vars: &[Var], n: usize, out: &mut Vec<usi
     );
 }
 
-/// Factor-count cap of [`join_multiway`], matching its stack-local
-/// iterator arrays (expression arity bounds the factor count long
-/// before this).
+/// Factor-count cap of a [`CsrJoin`], matching its stack-local slice
+/// arrays (expression arity bounds the factor count long before this).
 pub const MAX_WCO_FACTORS: usize = 32;
 
-/// Worst-case-optimal multiway join (leapfrog-triejoin style): joins
-/// all scalar `factors` at once by intersecting, variable by variable
-/// in the shared `order`, the candidate vertices of every factor
-/// containing that variable — then sums the per-assignment products
-/// over `order[n_free..]` into a scalar output over the free prefix
-/// `order[..n_free]` (which must be the output variables in ascending
-/// order, so results emerge in dense layout order without a final
-/// sort; `n_free == 0` folds everything into coordinate 0).
-///
-/// Each factor is viewed as a *trie*: its sorted coordinate array,
-/// re-keyed in place so the mixed-radix digits follow the factor's
-/// variables in global-order position ("trie order" — a no-op for
-/// factors whose variables already ascend with the order). Level `l`
-/// of the trie is then digit `l` of the key, and a subtree is a
-/// contiguous key range, so the per-variable intersection is a
-/// leapfrog over `partition_point` range splits — no hashing, no
-/// materialized intermediates. Total work is bounded by the AGM
-/// fractional-cover bound of the factor hypergraph (Ngo–Porat–Ré–Rudra;
-/// `gel_graph::elim::agm_cover_log_bound` computes the planning-side
-/// estimate), which for cyclic joins is asymptotically below any
-/// binary join plan.
-///
-/// Requirements: scalar factors (`dim == 1`), every variable of every
-/// factor present in `order`, every `order` variable present in at
-/// least one factor, at most [`MAX_WCO_FACTORS`] factors. All state
-/// lives in `s`, so the warmed path allocates nothing.
-///
-/// Determinism: assignments are enumerated in lexicographic `order`;
-/// the callers (`plan.rs`) restrict the kernel to integer-valued
-/// indicator factors, where re-associating the eliminated sums is
-/// exact — the same contract as [`join_multiply`] / [`contract_sum`].
-///
-/// Returns the number of leapfrog seeks performed (an obs metric).
-pub fn join_multiway(
-    factors: &mut [CoordList],
-    factor_vars: &[Vec<Var>],
-    order: &[Var],
-    n_free: usize,
-    n: usize,
-    s: &mut JoinScratch,
-    out: &mut CoordList,
-) -> u64 {
-    let nf = factors.len();
-    assert_eq!(factor_vars.len(), nf, "one variable list per factor");
-    assert!(nf <= MAX_WCO_FACTORS, "too many factors in multiway join");
-    assert!(n_free <= order.len(), "free prefix within order");
-    debug_assert!(order[..n_free].windows(2).all(|w| w[0] < w[1]), "free prefix ascending");
-    out.reset(1);
-    if nf == 0 {
-        return 0;
-    }
-
-    // Per-depth active lists and per-factor range stacks.
-    while s.wco_active.len() < order.len() {
-        s.wco_active.push(Vec::new());
-    }
-    for a in s.wco_active[..order.len()].iter_mut() {
-        a.clear();
-    }
-    while s.wco_strides.len() < nf {
-        s.wco_strides.push(Vec::new());
-    }
-    while s.wco_ranges.len() < nf {
-        s.wco_ranges.push(Vec::new());
-    }
-    while s.wco_iters.len() < order.len() {
-        s.wco_iters.push(Vec::new());
-    }
-
-    // Digit radix per factor: rounding `n` up to a power of two makes
-    // every hot-loop digit extraction a shift/mask instead of a
-    // div/mod. When `n` is itself a power of two (the common bench and
-    // partition sizes) the packed keys are numerically unchanged, so
-    // identity-order factors skip the repack entirely; otherwise the
-    // repack rides the same decode pass as the trie re-key. Factors
-    // whose widened key would overflow 63 bits keep base-`n` keys and
-    // the division path.
-    let nb = n.next_power_of_two();
-    let shift = nb.trailing_zeros() as usize;
-    s.wco_radix.clear();
-
-    let mut empty = false;
-    for (f, vars) in factor_vars.iter().enumerate() {
-        assert_eq!(factors[f].dim, 1, "join_multiway is scalar");
-        debug_assert!(vars.windows(2).all(|w| w[0] < w[1]));
-        let q = vars.len();
-        assert!(q <= MAX_JOIN_VARS, "too many variables in sparse join");
-        let radix = if q * shift <= 63 { nb } else { n };
-        s.wco_radix.push(radix);
-        // Global order position of each variable, and its trie level
-        // (rank of that position among the factor's own variables).
-        let mut pos = [0usize; MAX_JOIN_VARS];
-        for (i, v) in vars.iter().enumerate() {
-            pos[i] = order.iter().position(|o| o == v).expect("factor variable in order");
-        }
-        let mut kstr = [0usize; MAX_JOIN_VARS];
-        let mut identity = true;
-        for i in 0..q {
-            let level = (0..q).filter(|&j| pos[j] < pos[i]).count();
-            if level != i {
-                identity = false;
-            }
-            kstr[i] = npow(radix, q - 1 - level);
-            s.wco_active[pos[i]].push((f as u32, level as u32));
-        }
-        // Trie view: re-key the sorted coordinates to trie order (and
-        // into the widened radix when it differs from `n`).
-        if !identity || radix != n {
-            let mut digits = [0usize; MAX_JOIN_VARS];
-            for c in factors[f].coords.iter_mut() {
-                digits_of(*c, n, &mut digits[..q]);
-                *c = digits[..q].iter().zip(&kstr[..q]).map(|(d, st)| d * st).sum();
-            }
-            if !identity {
-                factors[f].sort_entries(s);
-            }
-            debug_assert!(factors[f].is_strictly_sorted());
-        }
-        let st = &mut s.wco_strides[f];
-        st.clear();
-        st.extend((0..q).map(|l| npow(radix, q - 1 - l)));
-        let r = &mut s.wco_ranges[f];
-        r.clear();
-        r.push((0, factors[f].len()));
-        empty |= factors[f].is_empty();
-    }
-    if empty {
-        return 0;
-    }
-    assert!(
-        s.wco_active[..order.len()].iter().all(|a| !a.is_empty()),
-        "every order variable must appear in a factor"
-    );
-    s.wco_out_strides.clear();
-    s.wco_out_strides.extend((0..n_free).map(|d| npow(n, n_free - 1 - d)));
-
-    let mut ctx = WcoCtx {
-        factors,
-        strides: &s.wco_strides,
-        radix: &s.wco_radix,
-        active: &s.wco_active,
-        out_strides: &s.wco_out_strides,
-        ranges: &mut s.wco_ranges,
-        iters: &mut s.wco_iters,
-        out,
-        order_len: order.len(),
-        n_free,
-        nf,
-        seeks: 0,
-    };
-    ctx.descend(0, 0);
-    let seeks = ctx.seeks;
-    debug_assert!(out.is_strictly_sorted());
-    seeks
+/// A 0/1 factor of a [`CsrJoin`] over two distinct variables: the arc
+/// relation `E(from, to)` or the equality `a = b`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JoinAtom {
+    /// `E(from, to)`.
+    Arc {
+        /// Tail variable.
+        from: Var,
+        /// Head variable.
+        to: Var,
+    },
+    /// `a = b`.
+    Eq(Var, Var),
 }
 
-/// Recursion state of [`join_multiway`]. Shared-reference fields are
-/// copied out of `self` before recursing, so only `ranges`/`out`/
-/// `seeks` are touched through `&mut self`.
-struct WcoCtx<'a> {
-    factors: &'a [CoordList],
-    strides: &'a [Vec<usize>],
-    radix: &'a [usize],
-    active: &'a [Vec<(u32, u32)>],
-    out_strides: &'a [usize],
-    ranges: &'a mut [Vec<(usize, usize)>],
-    iters: &'a mut [Vec<LfIter>],
-    out: &'a mut CoordList,
-    order_len: usize,
-    n_free: usize,
-    nf: usize,
-    seeks: u64,
+/// The trie a factor offers a join level once its other variable is
+/// bound to `u`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// `out_neighbors(u)`: the level binds the arc's head.
+    Out,
+    /// `in_neighbors(u)`: the level binds the arc's tail.
+    In,
+    /// The identity trie: the one-vertex slice `[u]`.
+    Same,
 }
 
-impl WcoCtx<'_> {
-    fn descend(&mut self, d: usize, out_coord: usize) {
-        if d == self.order_len {
-            // Full assignment: every factor's range is one entry.
-            let mut prod = 1.0;
-            for f in 0..self.nf {
-                let &(lo, hi) = self.ranges[f].last().expect("range per bound level");
-                debug_assert_eq!(hi, lo + 1, "full trie key is unique");
-                prod *= self.factors[f].values[lo];
-            }
-            // The free prefix is enumerated lexicographically, so the
-            // output coordinate is non-decreasing: accumulate into the
-            // last entry or append.
-            if self.out.coords.last() == Some(&out_coord) {
-                *self.out.values.last_mut().expect("entry exists") += prod;
-            } else {
-                debug_assert!(self.out.coords.last().is_none_or(|&c| c < out_coord));
-                self.out.push1(out_coord, prod);
-            }
-            return;
-        }
-        let factors = self.factors;
-        let free_stride = if d < self.n_free { self.out_strides[d] } else { 0 };
+/// One depth of a [`CsrJoin`].
+#[derive(Debug, Clone, Default)]
+struct Level {
+    /// The level starts from its parent's candidates: the parent's
+    /// probes are a subset of this level's, so their intersection is
+    /// already made (the 4-clique's `x4` intersects `x3`'s candidates
+    /// with one more slice). Those probes are then left out of
+    /// `probes`.
+    reuse: bool,
+    /// Factors whose other variable is bound: the slice each offers,
+    /// and the depth that binds its other variable.
+    probes: Vec<(Step, usize)>,
+    /// Arc factors opening at this depth (other variable bound deeper):
+    /// the level's vertex needs an out- (`Out`) or in-neighbour (`In`).
+    opens: Vec<Step>,
+}
 
-        // Leapfrog iterators over the active factors' current ranges.
-        // The per-depth block is taken out of the scratch for the
-        // duration of this call (deeper recursion uses deeper blocks)
-        // and restored on every exit path.
-        let mut its = std::mem::take(&mut self.iters[d]);
-        its.clear();
-        for &(f, l) in &self.active[d] {
-            let fu = f as usize;
-            let &(lo, hi) = self.ranges[fu].last().expect("range per bound level");
-            if lo == hi {
-                self.iters[d] = its;
-                return;
-            }
-            let below = self.strides[fu][l as usize];
-            let radix = self.radix[fu];
-            let key = factors[fu].coords[lo];
-            let (base, shift, mask) = if radix.is_power_of_two() {
-                let shift = below.trailing_zeros();
-                (key & !(below * radix - 1), shift, radix - 1)
-            } else {
-                (key - key % (below * radix), 0, 0)
+/// The worst-case-optimal join of 0/1 edge and equality atoms, run
+/// directly over a graph's CSR (Ngo–Porat–Ré–Rudra's generic join,
+/// specialised to binary relations stored as adjacency). It sums the
+/// product of the atoms over `order[n_free..]` into a scalar output
+/// over the free prefix `order[..n_free]`, which must be the output
+/// variables in ascending order.
+///
+/// `E(a, b)` is the two-level trie `csr_out` when the order binds `a`
+/// first and `csr_in` when it binds `b` first; `a = b` is the identity
+/// trie. At each depth, every factor whose other variable is already
+/// bound offers its sorted neighbour slice (found in O(1) through the
+/// offsets), and the candidates are the intersection of those slices,
+/// led by the shortest and binary-searched through the rest (merged,
+/// when two long lists are of like length). A factor opening
+/// at the depth filters by degree > 0, and a variable with no bound
+/// partner scans `0..n`. Total work is bounded by the AGM
+/// fractional-cover bound of the factor hypergraph
+/// (`gel_graph::elim::agm_cover_log_bound` computes the planning-side
+/// estimate), which for cyclic joins is asymptotically below any binary
+/// join plan. No factor list is built, re-keyed or sorted.
+///
+/// Determinism: the free prefix is enumerated in lexicographic order,
+/// so output entries emerge in dense layout order. The deepest
+/// aggregated depth adds its candidate count to the current entry as
+/// one `f64`: every factor is `1.0`, so each partial sum is an integer
+/// below 2^53 and the float is the same as adding `1.0` per assignment.
+#[derive(Debug, Clone)]
+pub struct CsrJoin {
+    levels: Vec<Level>,
+    n_free: usize,
+}
+
+impl CsrJoin {
+    /// Plans the join of `atoms` in `order` (every atom variable in
+    /// `order`, at most [`MAX_WCO_FACTORS`] atoms). The plan depends
+    /// only on the atoms and the order, never on a graph.
+    pub fn new(atoms: &[JoinAtom], order: &[Var], n_free: usize) -> Self {
+        assert!(atoms.len() <= MAX_WCO_FACTORS, "too many factors in a CSR join");
+        assert!(n_free <= order.len(), "free prefix within order");
+        debug_assert!(order[..n_free].windows(2).all(|w| w[0] < w[1]), "free prefix ascending");
+        let depth = |v: Var| order.iter().position(|&o| o == v).expect("atom variable in order");
+        let mut levels = vec![Level::default(); order.len()];
+        for &atom in atoms {
+            let (a, b) = match atom {
+                JoinAtom::Arc { from, to } => (from, to),
+                JoinAtom::Eq(a, b) => (a, b),
             };
-            let mut it = LfIter { f, shift, cur: lo, end: lo, hi, below, base, dig: 0, mask };
-            it.dig = it.dig_of(key);
-            its.push(it);
-        }
-        'outer: loop {
-            // The largest current candidate vertex across factors.
-            let mut vmax = 0usize;
-            for it in its.iter() {
-                if it.dig > vmax {
-                    vmax = it.dig;
-                }
+            assert_ne!(a, b, "join atoms are over two distinct variables");
+            let (da, db) = (depth(a), depth(b));
+            // (depth binding second, depth binding first, slice, filter)
+            let (late, early, step, open) = match atom {
+                JoinAtom::Arc { .. } if da < db => (db, da, Step::Out, Some(Step::Out)),
+                JoinAtom::Arc { .. } => (da, db, Step::In, Some(Step::In)),
+                JoinAtom::Eq(..) => (da.max(db), da.min(db), Step::Same, None),
+            };
+            // A repeated factor offers the same slice twice: 0/1 factors
+            // are idempotent, so it is read once.
+            if !levels[late].probes.contains(&(step, early)) {
+                levels[late].probes.push((step, early));
             }
-            // Leapfrog everyone up to it; an overshoot raises the bar
-            // and restarts the pass. Seek targets are raw packed keys
-            // (`base + v*below`), so the gallop compares plain
-            // integers; the cached `dig` recompute per landed seek is a
-            // shift/mask (or one division on the wide-key fallback).
-            let mut matched = true;
-            for it in its.iter_mut() {
-                if it.dig < vmax {
-                    let coords = &factors[it.f as usize].coords;
-                    let target = it.base + vmax * it.below;
-                    it.cur = gallop(coords, it.cur, it.hi, target);
-                    self.seeks += 1;
-                    if it.cur == it.hi {
-                        break 'outer;
-                    }
-                    it.dig = it.dig_of(coords[it.cur]);
-                    if it.dig > vmax {
-                        matched = false;
-                    }
-                }
-            }
-            if !matched {
-                continue;
-            }
-            // All factors agree on vertex `vmax`: bind it, recurse into
-            // the matching subtries, then advance past them.
-            for it in its.iter_mut() {
-                let coords = &factors[it.f as usize].coords;
-                let stop = it.base + (vmax + 1) * it.below;
-                it.end = gallop(coords, it.cur, it.hi, stop);
-                self.ranges[it.f as usize].push((it.cur, it.end));
-            }
-            self.descend(d + 1, out_coord + vmax * free_stride);
-            let mut exhausted = false;
-            for it in its.iter_mut() {
-                self.ranges[it.f as usize].pop();
-                it.cur = it.end;
-                if it.cur == it.hi {
-                    exhausted = true;
-                } else {
-                    it.dig = it.dig_of(factors[it.f as usize].coords[it.cur]);
-                }
-            }
-            if exhausted {
-                break 'outer;
+            if let Some(open) = open.filter(|o| !levels[early].opens.contains(o)) {
+                levels[early].opens.push(open);
             }
         }
-        self.iters[d] = its;
+        for d in (1..levels.len()).rev() {
+            let (head, tail) = levels.split_at_mut(d);
+            let (parent, lv) = (&head[d - 1], &mut tail[0]);
+            if !parent.probes.is_empty() && parent.probes.iter().all(|p| lv.probes.contains(p)) {
+                lv.reuse = true;
+                lv.probes.retain(|p| !parent.probes.contains(p));
+            }
+        }
+        Self { levels, n_free }
     }
+
+    /// Runs the join on `g` into `out`, returning the number of
+    /// neighbour-slice intersections (one per slice a candidate set is
+    /// intersected with; the `eval.wco.seeks` counter). Stops with the
+    /// entry count once `out` holds more than `cap` entries. The warmed
+    /// path allocates nothing.
+    pub fn run(
+        &self,
+        g: &Graph,
+        cap: usize,
+        s: &mut JoinScratch,
+        out: &mut CoordList,
+    ) -> Result<u64, usize> {
+        out.reset(1);
+        s.bound.clear();
+        s.bound.resize(self.levels.len(), 0);
+        if s.cands.len() < self.levels.len() {
+            s.cands.resize_with(self.levels.len(), Vec::new);
+        }
+        let mut walk = Walk {
+            g,
+            levels: &self.levels,
+            n_free: self.n_free,
+            cap,
+            bound: &mut s.bound,
+            cands: &mut s.cands,
+            out,
+            intersections: 0,
+        };
+        if !self.levels.is_empty() {
+            walk.level(0, 0, &[])?;
+        }
+        let intersections = walk.intersections;
+        debug_assert!(out.is_strictly_sorted());
+        Ok(intersections)
+    }
+}
+
+/// Recursion state of [`CsrJoin::run`].
+struct Walk<'a> {
+    g: &'a Graph,
+    levels: &'a [Level],
+    n_free: usize,
+    cap: usize,
+    bound: &'a mut [Vertex],
+    /// Per-depth candidate buffers, taken out while their depth runs.
+    cands: &'a mut [Vec<Vertex>],
+    out: &'a mut CoordList,
+    intersections: u64,
+}
+
+impl Walk<'_> {
+    /// Adds the exact integer `count` to the entry at `coord`: the
+    /// free prefix ascends, so that is the last entry or a new one.
+    #[inline]
+    fn emit(&mut self, coord: usize, count: usize) -> Result<(), usize> {
+        if self.out.coords.last() == Some(&coord) {
+            *self.out.values.last_mut().expect("entry exists") += count as f64;
+            return Ok(());
+        }
+        self.out.push1(coord, count as f64);
+        if self.out.len() > self.cap {
+            return Err(self.out.len());
+        }
+        Ok(())
+    }
+
+    /// Binds depth `d` to each candidate vertex in ascending order.
+    /// `coord` is the output cell of the bound free prefix, `parent`
+    /// the candidates of depth `d - 1` before its degree filters.
+    fn level(&mut self, d: usize, coord: usize, parent: &[Vertex]) -> Result<(), usize> {
+        let (g, lv) = (self.g, &self.levels[d]);
+        let mut pin = None;
+        for &(step, p) in &lv.probes {
+            let u = self.bound[p];
+            if step == Step::Same {
+                if pin.is_some_and(|w| w != u) {
+                    return Ok(());
+                }
+                pin = Some(u);
+            }
+        }
+        let pinned = pin.unwrap_or(0);
+        // The slices to intersect, the shortest first.
+        let mut sl: [&[Vertex]; MAX_WCO_FACTORS + 1] = [&[]; MAX_WCO_FACTORS + 1];
+        let mut k = usize::from(lv.reuse);
+        sl[0] = parent;
+        for &(step, p) in &lv.probes {
+            sl[k] = match step {
+                Step::Out => g.out_neighbors(self.bound[p]),
+                Step::In => g.in_neighbors(self.bound[p]),
+                Step::Same => std::slice::from_ref(&pinned),
+            };
+            k += 1;
+        }
+        let sl = &mut sl[..k];
+        if let Some(i) = (0..k).min_by_key(|&i| sl[i].len()) {
+            sl.swap(0, i);
+        }
+        self.intersections += k.saturating_sub(1) as u64;
+        let last = d + 1 == self.levels.len();
+        let free = d < self.n_free;
+        // The deepest aggregated level counts instead of binding: every
+        // partner is bound, so nothing opens there.
+        if last && !free && lv.opens.is_empty() && k <= 2 {
+            let count = match sl {
+                [] => g.num_vertices(),
+                [one] => one.len(),
+                [a, b] => count_common(a, b),
+                _ => unreachable!("at most two slices"),
+            };
+            return if count > 0 { self.emit(coord, count) } else { Ok(()) };
+        }
+        let mut buf = std::mem::take(&mut self.cands[d]);
+        let raw: Option<&[Vertex]> = match sl {
+            [] => None,
+            [one] => Some(one),
+            [a, b, rest @ ..] => {
+                intersect_into(a, b, &mut buf);
+                for r in rest {
+                    retain_common(&mut buf, r);
+                }
+                Some(&buf)
+            }
+        };
+        let n = g.num_vertices();
+        let mut count = 0;
+        let mut visit = |w: &mut Self, v: Vertex, raw: &[Vertex]| {
+            let open = |o: &Step| match o {
+                Step::Out => g.out_degree(v) > 0,
+                _ => g.in_degree(v) > 0,
+            };
+            if !lv.opens.iter().all(open) {
+                return Ok(());
+            }
+            let c = if free { coord * n + v as usize } else { coord };
+            match (last, free) {
+                (true, false) => {
+                    count += 1;
+                    Ok(())
+                }
+                (true, true) => w.emit(c, 1),
+                _ => {
+                    w.bound[d] = v;
+                    w.level(d + 1, c, raw)
+                }
+            }
+        };
+        let res = match raw {
+            Some(raw) => raw.iter().try_for_each(|&v| visit(self, v, raw)),
+            None => (0..n as Vertex).try_for_each(|v| visit(self, v, &[])),
+        };
+        self.cands[d] = buf;
+        res?;
+        if count > 0 {
+            self.emit(coord, count)?;
+        }
+        Ok(())
+    }
+}
+
+/// Calls `hit` on every vertex of sorted `a` also in sorted `b`, in
+/// order. A short or much shorter `a` binary-searches `b` once per
+/// vertex — independent searches, which the processor overlaps; two
+/// long lists of like length merge without branches.
+#[inline]
+fn for_common(a: &[Vertex], b: &[Vertex], mut hit: impl FnMut(Vertex)) {
+    if a.len() <= 16 || b.len() > 8 * a.len() {
+        for &v in a {
+            if b.binary_search(&v).is_ok() {
+                hit(v);
+            }
+        }
+        return;
+    }
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+        if x == y {
+            hit(x);
+        }
+    }
+}
+
+/// `|a ∩ b|` of two sorted slices.
+fn count_common(a: &[Vertex], b: &[Vertex]) -> usize {
+    let mut c = 0;
+    for_common(a, b, |_| c += 1);
+    c
+}
+
+/// `out = a ∩ b` of two sorted slices.
+fn intersect_into(a: &[Vertex], b: &[Vertex], out: &mut Vec<Vertex>) {
+    out.clear();
+    for_common(a, b, |v| out.push(v));
+}
+
+/// Keeps the vertices of sorted `buf` that sorted `b` also holds.
+fn retain_common(buf: &mut Vec<Vertex>, b: &[Vertex]) {
+    buf.retain(|v| b.binary_search(v).is_ok());
 }
 
 /// Sums variable `var` out of a scalar factor: entries sharing all
@@ -825,6 +800,7 @@ pub fn contract_sum(
 #[allow(clippy::erasing_op, clippy::identity_op)]
 mod tests {
     use super::*;
+    use gel_graph::GraphBuilder;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -950,156 +926,143 @@ mod tests {
         assert_eq!(out.values(), &[7.0, 8.0]);
     }
 
-    /// Dense reference of [`join_multiway`]'s semantics: enumerate all
-    /// assignments of `order`, probe each factor at the coordinate of
-    /// its own (ascending) variables, and fold products over the
-    /// eliminated suffix into the free-prefix coordinate.
-    fn dense_multiway(
-        dense: &[Vec<f64>],
-        factor_vars: &[Vec<Var>],
-        order: &[Var],
-        n_free: usize,
-        n: usize,
-    ) -> Vec<f64> {
-        let p = order.len();
-        let mut out = vec![0.0; npow(n, n_free)];
-        let mut assign = vec![0usize; p];
-        for cell in 0..npow(n, p) {
-            digits_of(cell, n, &mut assign);
-            let mut prod = 1.0;
-            for (df, vars) in dense.iter().zip(factor_vars) {
-                let c = vars
-                    .iter()
-                    .fold(0, |acc, v| acc * n + assign[order.iter().position(|o| o == v).unwrap()]);
-                prod *= df[c];
+    /// A random directed graph: asymmetric arcs and self-loops, and at
+    /// low densities isolated vertices.
+    fn random_digraph(n: usize, density: f64, rng: &mut StdRng) -> Graph {
+        let mut b = GraphBuilder::new(n);
+        for u in 0..n as Vertex {
+            for v in 0..n as Vertex {
+                if rng.gen_bool(density) {
+                    b.add_arc(u, v);
+                }
             }
-            let oc = (0..n_free).fold(0, |acc, d| acc * n + assign[d]);
-            out[oc] += prod;
         }
+        b.build()
+    }
+
+    fn arcs(pairs: &[(Var, Var)]) -> Vec<JoinAtom> {
+        pairs.iter().map(|&(from, to)| JoinAtom::Arc { from, to }).collect()
+    }
+
+    /// Dense reference of a [`CsrJoin`]: enumerate every assignment of
+    /// `order`, test each atom on the graph, and count the assignments
+    /// satisfying all of them per free-prefix coordinate.
+    fn dense_multiway(g: &Graph, atoms: &[JoinAtom], order: &[Var], n_free: usize) -> Vec<f64> {
+        let n = g.num_vertices();
+        let mut out = vec![0.0; npow(n, n_free)];
+        let mut assign = vec![0usize; order.len()];
+        for cell in 0..npow(n, order.len()) {
+            digits_of(cell, n, &mut assign);
+            let at = |v: Var| assign[order.iter().position(|&o| o == v).unwrap()];
+            let hit = atoms.iter().all(|atom| match *atom {
+                JoinAtom::Arc { from, to } => g.has_edge(at(from) as Vertex, at(to) as Vertex),
+                JoinAtom::Eq(a, b) => at(a) == at(b),
+            });
+            if hit {
+                out[(0..n_free).fold(0, |acc, d| acc * n + assign[d])] += 1.0;
+            }
+        }
+        out
+    }
+
+    fn run_join(g: &Graph, atoms: &[JoinAtom], order: &[Var], n_free: usize) -> CoordList {
+        let mut out = CoordList::new(1);
+        let join = CsrJoin::new(atoms, order, n_free);
+        join.run(g, usize::MAX, &mut JoinScratch::default(), &mut out).expect("uncapped");
         out
     }
 
     #[test]
     fn multiway_triangle_count_matches_dense() {
-        let n = 5;
-        let mut rng = StdRng::seed_from_u64(7);
-        let vars: Vec<Vec<Var>> = vec![vec![1, 2], vec![2, 3], vec![1, 3]];
-        let (mut factors, dense): (Vec<CoordList>, Vec<Vec<f64>>) =
-            vars.iter().map(|v| random_factor(v, n, 0.5, &mut rng)).unzip();
-        let mut out = CoordList::new(1);
-        let mut s = JoinScratch::default();
+        let g = random_digraph(5, 0.5, &mut StdRng::seed_from_u64(7));
+        let atoms = arcs(&[(1, 2), (2, 3), (1, 3)]);
         // Fully aggregated: n_free = 0, scalar count at coordinate 0.
-        join_multiway(&mut factors, &vars, &[1, 2, 3], 0, n, &mut s, &mut out);
-        let want = dense_multiway(&dense, &vars, &[1, 2, 3], 0, n);
-        assert_eq!(to_dense(&out, 1), want);
+        let out = run_join(&g, &atoms, &[1, 2, 3], 0);
+        assert_eq!(to_dense(&out, 1), dense_multiway(&g, &atoms, &[1, 2, 3], 0));
         assert!(out.is_strictly_sorted());
     }
 
     #[test]
     fn multiway_free_prefix_emits_sorted_per_vertex_counts() {
-        let n = 4;
-        let mut rng = StdRng::seed_from_u64(11);
-        let vars: Vec<Vec<Var>> = vec![vec![1, 2], vec![2, 3], vec![1, 3]];
-        let (mut factors, dense): (Vec<CoordList>, Vec<Vec<f64>>) =
-            vars.iter().map(|v| random_factor(v, n, 0.5, &mut rng)).unzip();
-        let mut out = CoordList::new(1);
-        let mut s = JoinScratch::default();
-        // x1 free: per-vertex incident-triangle weights, eliminated
-        // vars ordered 3 before 2 to exercise a non-ascending suffix.
-        join_multiway(&mut factors, &vars, &[1, 3, 2], 1, n, &mut s, &mut out);
+        let g = random_digraph(4, 0.5, &mut StdRng::seed_from_u64(11));
+        let atoms = arcs(&[(1, 2), (2, 3), (1, 3)]);
+        // x1 free: per-vertex triangle counts, eliminated vars ordered
+        // 3 before 2, so `E(2, 3)` reads the in-CSR.
+        let out = run_join(&g, &atoms, &[1, 3, 2], 1);
         assert!(out.is_strictly_sorted());
-        let want = dense_multiway(&dense, &vars, &[1, 3, 2], 1, n);
-        assert_eq!(to_dense(&out, n), want);
+        assert_eq!(to_dense(&out, 4), dense_multiway(&g, &atoms, &[1, 3, 2], 1));
     }
 
     #[test]
     fn multiway_empty_factor_short_circuits() {
-        let n = 3;
-        let mut a = CoordList::new(1);
-        a.push1(1, 1.0);
-        let b = CoordList::new(1);
-        let mut factors = vec![a, b];
-        let vars: Vec<Vec<Var>> = vec![vec![1, 2], vec![2, 3]];
+        // No arcs: the degree filter empties the first level, so no
+        // slice is ever intersected.
+        let g = GraphBuilder::new(3).build();
         let mut out = CoordList::new(1);
-        let seeks = join_multiway(
-            &mut factors,
-            &vars,
-            &[1, 2, 3],
-            0,
-            n,
-            &mut JoinScratch::default(),
-            &mut out,
-        );
+        let join = CsrJoin::new(&arcs(&[(1, 2), (2, 3), (1, 3)]), &[1, 2, 3], 0);
+        let seeks = join.run(&g, usize::MAX, &mut JoinScratch::default(), &mut out).unwrap();
         assert!(out.is_empty());
         assert_eq!(seeks, 0);
     }
 
+    /// The 3-star `E(x1,x4)·E(x2,x4)·E(x3,x4)` summed over x4 emits one
+    /// entry per in-neighbour triple: past the cap the join stops with
+    /// the entry count, and the same scratch then answers an uncapped
+    /// run in full.
     #[test]
-    fn trie_rekey_preserves_entry_multiset() {
-        let n = 4;
-        let mut rng = StdRng::seed_from_u64(23);
-        let vars: Vec<Vec<Var>> = vec![vec![1, 2], vec![2, 3], vec![1, 3]];
-        let (mut factors, _): (Vec<CoordList>, Vec<Vec<f64>>) =
-            vars.iter().map(|v| random_factor(v, n, 0.6, &mut rng)).unzip();
-        let before: Vec<(usize, Vec<f64>)> = factors
-            .iter()
-            .map(|f| {
-                let mut vals = f.values().to_vec();
-                vals.sort_by(f64::total_cmp);
-                (f.len(), vals)
-            })
-            .collect();
-        let mut out = CoordList::new(1);
-        // Order [3, 1, 2] forces a non-identity re-key of every factor.
-        join_multiway(&mut factors, &vars, &[3, 1, 2], 0, n, &mut JoinScratch::default(), &mut out);
-        for (f, (len, vals)) in factors.iter().zip(&before) {
-            assert_eq!(f.len(), *len, "re-key must not add or drop entries");
-            assert!(f.is_strictly_sorted());
-            let mut got = f.values().to_vec();
-            got.sort_by(f64::total_cmp);
-            assert_eq!(&got, vals, "re-key must permute, not rewrite, values");
-        }
+    fn csr_join_stops_past_the_cap() {
+        let g = random_digraph(12, 0.4, &mut StdRng::seed_from_u64(5));
+        let atoms = arcs(&[(1, 4), (2, 4), (3, 4)]);
+        let join = CsrJoin::new(&atoms, &[1, 2, 3, 4], 3);
+        let (mut s, mut out) = (JoinScratch::default(), CoordList::new(1));
+        assert_eq!(join.run(&g, 50, &mut s, &mut out), Err(51));
+        join.run(&g, usize::MAX, &mut s, &mut out).unwrap();
+        assert!(out.len() > 50);
+        assert_eq!(to_dense(&out, 12 * 12 * 12), dense_multiway(&g, &atoms, &[1, 2, 3, 4], 3));
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Multiway join matches the dense reference on random cyclic
-        /// factor sets, orders, and free prefixes, and the trie re-key
-        /// keeps every factor strictly sorted.
+        /// The CSR join matches the dense reference on random cyclic
+        /// atom sets with random arc directions, an optional equality
+        /// atom, random orders and free prefixes, on random digraphs.
         #[test]
         fn multiway_matches_dense_reference(seed in 0u64..10_000) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let n = 2 + (seed % 3) as usize;
+            let n = 2 + (seed % 4) as usize;
             // Cyclic hypergraphs: triangle, 4-cycle, 4-clique, and a
             // triangle sharing an edge with a path.
-            let vars: Vec<Vec<Var>> = match seed % 4 {
-                0 => vec![vec![1, 2], vec![2, 3], vec![1, 3]],
-                1 => vec![vec![1, 2], vec![2, 3], vec![3, 4], vec![1, 4]],
-                2 => vec![
-                    vec![1, 2], vec![1, 3], vec![1, 4], vec![2, 3], vec![2, 4], vec![3, 4],
-                ],
-                _ => vec![vec![1, 2], vec![2, 3], vec![1, 3], vec![3, 4]],
+            let pairs: Vec<(Var, Var)> = match seed % 4 {
+                0 => vec![(1, 2), (2, 3), (1, 3)],
+                1 => vec![(1, 2), (2, 3), (3, 4), (1, 4)],
+                2 => vec![(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+                _ => vec![(1, 2), (2, 3), (1, 3), (3, 4)],
             };
+            let mut atoms: Vec<JoinAtom> = pairs
+                .iter()
+                .map(|&(a, b)| if rng.gen_bool(0.5) {
+                    JoinAtom::Arc { from: a, to: b }
+                } else {
+                    JoinAtom::Arc { from: b, to: a }
+                })
+                .collect();
+            if rng.gen_bool(0.3) {
+                atoms.push(JoinAtom::Eq(2, 1));
+            }
             let all: Vec<Var> = { let mut a: Vec<Var> =
-                vars.iter().flatten().copied().collect(); a.sort_unstable(); a.dedup(); a };
-            let n_free = (seed / 4 % 3) as usize % all.len();
+                pairs.iter().flat_map(|&(a, b)| [a, b]).collect(); a.sort_unstable(); a.dedup(); a };
+            let n_free = (seed / 4) as usize % (all.len() + 1);
             // order = free prefix (ascending) + a rotation of the rest.
             let mut order: Vec<Var> = all[..n_free].to_vec();
             let mut rest: Vec<Var> = all[n_free..].to_vec();
             let rot = (seed % 7) as usize % rest.len().max(1);
             rest.rotate_left(rot);
             order.append(&mut rest);
-            let (mut factors, dense): (Vec<CoordList>, Vec<Vec<f64>>) =
-                vars.iter().map(|v| random_factor(v, n, 0.4, &mut rng)).unzip();
-            let mut out = CoordList::new(1);
-            join_multiway(&mut factors, &vars, &order, n_free, n,
-                          &mut JoinScratch::default(), &mut out);
+            let g = random_digraph(n, 0.45, &mut rng);
+            let out = run_join(&g, &atoms, &order, n_free);
             prop_assert!(out.is_strictly_sorted());
-            for f in &factors {
-                prop_assert!(f.is_strictly_sorted(), "trie re-key must keep factors sorted");
-            }
-            let want = dense_multiway(&dense, &vars, &order, n_free, n);
+            let want = dense_multiway(&g, &atoms, &order, n_free);
             prop_assert_eq!(to_dense(&out, want.len()), want);
         }
 

@@ -24,7 +24,7 @@ use gel_tensor::kernels::matmul_ikj_into;
 use gel_tensor::{Activation, Matrix};
 use gel_wl::IncrementalColoring;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Seconds per call of `f`: one untimed call (first-use sizing, plan
 /// lowering), then the minimum over `rounds` timed rounds of `iters`
@@ -234,7 +234,7 @@ impl WcoSweep {
 }
 
 /// Worst-case-optimal join sweep (DESIGN.md §12): cyclic GEL₄ probes
-/// through the generic (leapfrog) join vs the binary merge-join plan
+/// through the generic join over the CSR vs the binary merge-join plan
 /// (`wco: false`), both forced sparse. Two instance families answer
 /// different questions:
 ///
@@ -283,6 +283,155 @@ pub fn wco_sweep(rounds: u32, iters: u32) -> WcoSweep {
         joins: sweep.counter("eval.wco.joins"),
         seeks: sweep.counter("eval.wco.seeks"),
     }
+}
+
+/// One served sum-product read of [`census_reads`].
+pub struct CensusRow {
+    /// The read: shape and graph.
+    pub name: &'static str,
+    /// Seconds per warm engine evaluation, as the query server runs it.
+    pub engine_s: f64,
+    /// Seconds per run of the hand-written CSR loop.
+    pub loop_s: f64,
+    /// Sum of the engine's output entries.
+    pub engine_total: f64,
+    /// Sum of the loop's output entries.
+    pub loop_total: f64,
+}
+
+impl CensusRow {
+    /// Engine time over loop time.
+    pub fn ratio(&self) -> f64 {
+        self.engine_s / self.loop_s.max(1e-12)
+    }
+}
+
+/// `Σ_{x2,x3} E(x1,x2)·E(x2,x3)·E(x1,x3)` per `x1`: a query server
+/// read.
+fn per_vertex_triangles() -> Expr {
+    sum_product(vec![2, 3], &[(1, 2), (2, 3), (1, 3)])
+}
+
+/// Per-`x1` 4-cliques `Σ_{x2,x3,x4}` over all six arcs.
+fn per_vertex_cliques() -> Expr {
+    sum_product(vec![2, 3, 4], &[(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+}
+
+/// Per-`(x1, x4)` 4-cycles `Σ_{x2,x3} E(x1,x2)·E(x2,x3)·E(x3,x4)·E(x1,x4)`.
+fn per_pair_cycles() -> Expr {
+    sum_product(vec![2, 3], &[(1, 2), (2, 3), (3, 4), (1, 4)])
+}
+
+fn sum_product(over: Vec<u8>, arcs: &[(u8, u8)]) -> Expr {
+    let atoms = arcs.iter().map(|&(a, b)| build::edge(a, b)).collect();
+    let mul = build::apply(Func::Mul { arity: arcs.len(), dim: 1 }, atoms);
+    build::agg_over(Agg::Sum, over, mul, None)
+}
+
+/// `|a ∩ b|` of two sorted slices, by merge.
+fn common(a: &[u32], b: &[u32]) -> usize {
+    let (mut i, mut j, mut c) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => (i, j, c) = (i + 1, j + 1, c + 1),
+        }
+    }
+    c
+}
+
+/// Hand-written CSR loops computing each read's output entries
+/// `(cell, count)` into `out`, in cell order.
+fn triangles_loop(g: &Graph, out: &mut Vec<(usize, f64)>) {
+    for x1 in 0..g.num_vertices() as u32 {
+        let n1 = g.out_neighbors(x1);
+        let c: usize = n1.iter().map(|&x2| common(n1, g.out_neighbors(x2))).sum();
+        if c > 0 {
+            out.push((x1 as usize, c as f64));
+        }
+    }
+}
+
+fn cliques_loop(g: &Graph, out: &mut Vec<(usize, f64)>, c12: &mut Vec<u32>) {
+    for x1 in 0..g.num_vertices() as u32 {
+        let n1 = g.out_neighbors(x1);
+        let mut c = 0;
+        for &x2 in n1 {
+            c12.clear();
+            c12.extend(n1.iter().filter(|v| g.out_neighbors(x2).binary_search(v).is_ok()));
+            c += c12.iter().map(|&x3| common(c12, g.out_neighbors(x3))).sum::<usize>();
+        }
+        if c > 0 {
+            out.push((x1 as usize, c as f64));
+        }
+    }
+}
+
+fn cycles_loop(g: &Graph, out: &mut Vec<(usize, f64)>) {
+    let n = g.num_vertices();
+    for x1 in 0..n as u32 {
+        let n1 = g.out_neighbors(x1);
+        for &x4 in n1 {
+            let into4 = g.in_neighbors(x4);
+            let c: usize = n1.iter().map(|&x2| common(g.out_neighbors(x2), into4)).sum();
+            if c > 0 {
+                out.push((x1 as usize * n + x4 as usize, c as f64));
+            }
+        }
+    }
+}
+
+/// The query server's sum-product reads (bench-e2e's `serve_gel` mix):
+/// per-vertex triangles and 4-cliques on Erdős–Rényi(512, 0.01) and on
+/// a scale-9 R-MAT with as many edges, and per-pair 4-cycles on the
+/// Erdős–Rényi graph and on Erdős–Rényi(2048, 0.0025). Each read is
+/// timed as the server runs it — a warm engine with sparse output under
+/// the server's result cap — beside a hand-written loop over sorted CSR
+/// neighbour slices that computes the same entries.
+///
+/// Serial kernels: callers pin one thread.
+pub fn census_reads(rounds: u32, iters: u32) -> Vec<CensusRow> {
+    let mut rng = StdRng::seed_from_u64(190);
+    let er = erdos_renyi(512, 0.01, &mut rng);
+    let mut b = GraphBuilder::new(512);
+    for (u, v) in rmat_edges(9, er.num_edges_undirected() as u64, rng.gen()) {
+        b.add_edge(u, v);
+    }
+    let rmat = b.build();
+    let big = erdos_renyi(2048, 0.0025, &mut rng);
+    type Loop = fn(&Graph, &mut Vec<(usize, f64)>, &mut Vec<u32>);
+    let reads: [(&'static str, Expr, &Graph, Loop); 6] = [
+        ("per-vertex triangles, ER(512)", per_vertex_triangles(), &er, |g, o, _| {
+            triangles_loop(g, o)
+        }),
+        ("per-vertex triangles, R-MAT(9)", per_vertex_triangles(), &rmat, |g, o, _| {
+            triangles_loop(g, o)
+        }),
+        ("per-vertex 4-cliques, ER(512)", per_vertex_cliques(), &er, cliques_loop),
+        ("per-vertex 4-cliques, R-MAT(9)", per_vertex_cliques(), &rmat, cliques_loop),
+        ("per-pair 4-cycles, ER(512)", per_pair_cycles(), &er, |g, o, _| cycles_loop(g, o)),
+        ("per-pair 4-cycles, ER(2048)", per_pair_cycles(), &big, |g, o, _| cycles_loop(g, o)),
+    ];
+    let cap = ServeOptions::default().max_result_cells;
+    let opts = EvalOptions { sparse_output: true, ..EvalOptions::default() };
+    reads
+        .into_iter()
+        .map(|(name, e, g, run_loop)| {
+            let mut eng = EvalEngine::with_options(opts);
+            let engine_s = min_secs_per_iter(rounds, iters, || {
+                eng.try_eval_capped(&e, g, cap).expect("a served read fits the cap");
+            });
+            let engine_total = eng.eval(&e, g).data().iter().fold(0.0, |t, v| t + v);
+            let (mut out, mut buf) = (Vec::new(), Vec::new());
+            let loop_s = min_secs_per_iter(rounds, iters, || {
+                out.clear();
+                run_loop(g, &mut out, &mut buf);
+            });
+            let loop_total = out.iter().fold(0.0, |t, &(_, c)| t + c);
+            CensusRow { name, engine_s, loop_s, engine_total, loop_total }
+        })
+        .collect()
 }
 
 fn gflops(n: usize, secs: f64) -> f64 {

@@ -153,7 +153,8 @@ impl Graph {
     /// (monotone offsets, in-range sorted neighbour lists, matching
     /// lengths) are always checked so a corrupted segment cannot build
     /// a graph that later violates slice bounds; the full
-    /// transpose-consistency check runs in debug builds only.
+    /// transpose-consistency check runs in debug builds only (gel-store
+    /// checks it when it opens a segment, the one untrusted source).
     ///
     /// # Panics
     /// Panics when any invariant fails.

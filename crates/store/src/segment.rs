@@ -316,8 +316,28 @@ pub fn read_segment(path: &Path) -> io::Result<Graph> {
         )
     })
     .map_err(|_| bad("segment checksum valid but CSR invariants violated"))?;
+    if !in_csr_is_transpose(&g) {
+        return Err(bad("segment checksum valid but in-CSR is not the transpose of out-CSR"));
+    }
     SEGMENTS_OPENED.incr();
     Ok(g)
+}
+
+/// Whether `g`'s in-CSR is the transpose of its out-CSR, in O(n + m):
+/// arcs `(u, v)` in out-CSR order (ascending `u`) must consume each
+/// sorted in-row `v` front to back. Equal arc counts (checked when the
+/// graph is built) then leave no in-entry unconsumed. Kernels that read
+/// either CSR — neighbour aggregation, the sum-product join — rely on
+/// it, so a segment that breaks it would answer by plan.
+fn in_csr_is_transpose(g: &Graph) -> bool {
+    let (in_off, in_adj) = g.csr_in();
+    let mut cursor: Vec<u32> = in_off[..g.num_vertices()].to_vec();
+    g.arcs().all(|(u, v)| {
+        let c = &mut cursor[v as usize];
+        let hit = *c < in_off[v as usize + 1] && in_adj[*c as usize] == u;
+        *c += 1;
+        hit
+    })
 }
 
 #[cfg(test)]
@@ -380,6 +400,32 @@ mod tests {
         let bytes = std::fs::read(&p).unwrap();
         std::fs::write(&p, &bytes[..bytes.len() - 3]).unwrap();
         assert!(read_segment(&p).is_err(), "truncated segment must fail");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A segment whose in-rows are shape-valid but not the transpose of
+    /// its out-rows, under a recomputed checksum, is refused.
+    #[test]
+    fn non_transposed_in_csr_is_refused() {
+        let dir = tmpdir("transpose");
+        let p = dir.join("t.seg");
+        let mut b = gel_graph::GraphBuilder::new(3);
+        b.add_arc(0, 1).add_arc(0, 2).add_arc(2, 1);
+        write_segment(&p, &b.build()).unwrap();
+        assert!(read_segment(&p).is_ok());
+        // Overwrite the in-sections with the out-sections: rows
+        // in(0) = [1, 2], in(1) = [], in(2) = [1] are sorted and in
+        // range, but not the transpose.
+        let mut bytes = std::fs::read(&p).unwrap();
+        let (h, csr) = (HEADER_BYTES as usize, (3 + 1 + 3) * 4);
+        bytes.copy_within(h..h + csr, h + csr);
+        let body = bytes.len() - 8;
+        let mut hash = Fnv64::new();
+        hash.update(&bytes[..body]);
+        bytes[body..].copy_from_slice(&hash.digest().to_le_bytes());
+        std::fs::write(&p, &bytes).unwrap();
+        let err = read_segment(&p).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

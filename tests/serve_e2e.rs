@@ -254,13 +254,13 @@ fn wide_sparse_results_are_admitted_dense_ones_rejected() {
     // TooLarge rejection. So do wide sum-products whose output does not
     // fit: the eliminated `sum_{x4}(E(x1,x2)·E(x3,x4))` may hold m·n
     // entries and is refused at plan time; the joined 3-star
-    // `sum_{x4}(E(x1,x4)·E(x2,x4)·E(x3,x4))` is refused on its
-    // evaluated size.
+    // `sum_{x4}(E(x1,x4)·E(x2,x4)·E(x3,x4))` is refused by the join
+    // itself once its list passes the cap.
     let dense_wide = add2(lab(0, 1), lab(0, 2));
     let spread = agg_over(Agg::Sum, vec![4], mul2(edge(1, 2), edge(3, 4)), None);
     let star = agg_over(Agg::Sum, vec![4], mul2(mul2(edge(1, 4), edge(2, 4)), edge(3, 4)), None);
     for (e, why) in
-        [(dense_wide, "dense table"), (spread, "entries (cap 5000)"), (star, "stored cells")]
+        [(dense_wide, "dense table"), (spread, "entries (cap 5000)"), (star, "5001 entries")]
     {
         let err = client.eval_table("g", &e).unwrap_err();
         assert!(
